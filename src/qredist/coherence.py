@@ -72,7 +72,6 @@ class CollapsingMap:
     """
 
     name: str = "dephasing"
-    surjective_on_free_measurements: bool = True
 
     def apply(self, rho: DensityOperator, labels: Sequence[str] | None = None) -> DensityOperator:
         return dephase(rho, labels)
@@ -238,8 +237,3 @@ def coherence_theory() -> ResourceTheory:
         # the uniform state minimizes ||log tau||_inf over diagonal states
         min_log_norm_over_free=lambda sys_: float(np.log2(sys_.dim)),
     )
-
-
-THEORIES: dict[str, Callable[[], ResourceTheory]] = {
-    "coherence": coherence_theory,
-}

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 import scipy.special
 
-from .coherence import CollapsingMap, dephasing_map
+from .coherence import dephase
 from .qmat import (
     EIG_FLOOR,
     DensityOperator,
@@ -58,6 +58,23 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return entropy_of_probs(np.linalg.eigvalsh(rho.matrix))
 
 
+def _spectral_weights(vecs: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Diagonal of V^dag M V as Re(conj(M V) * V), summed in the buffer of M V: no extra
+    d x d temporary, and cheap at the small d of the hypothesis-test bisection."""
+    mv = mat @ vecs
+    np.conjugate(mv, out=mv)
+    mv *= vecs
+    return mv.real.sum(axis=0)
+
+
+def _require_same_registers(rho: DensityOperator, sigma: DensityOperator, what: str) -> None:
+    if rho.system.registers != sigma.system.registers:
+        raise DimensionMismatch(
+            f"{what} needs identical register systems, got {list(rho.system.registers)} "
+            f"and {list(sigma.system.registers)}"
+        )
+
+
 def _kernel_mass(rho_mat: np.ndarray, sigma_evals: np.ndarray, sigma_vecs: np.ndarray) -> float:
     """Largest eigenvalue of rho compressed onto the kernel of sigma."""
     kernel = sigma_vecs[:, sigma_evals <= EIG_FLOOR]
@@ -73,14 +90,13 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> EntropicVa
     Infinite when rho has mass above the support threshold outside the
     support of sigma; sub-threshold kernel mass is treated as zero.
     """
-    if rho.system.dim != sigma.system.dim:
-        raise DimensionMismatch("relative entropy needs operators of equal dimension")
+    _require_same_registers(rho, sigma, "relative entropy")
     evs, vecs_s = np.linalg.eigh(sigma.matrix)
     if _kernel_mass(rho.matrix, evs, vecs_s) > SUPPORT_TOL:
         return EntropicValue.infinite()
     evr = np.linalg.eigvalsh(rho.matrix)
     tr_rho_log_rho = float(np.sum(evr[evr > EIG_FLOOR] * np.log2(evr[evr > EIG_FLOOR])))
-    weights = np.real(np.einsum("ij,ik,kj->j", vecs_s.conj(), rho.matrix, vecs_s))
+    weights = _spectral_weights(vecs_s, rho.matrix)
     mask = evs > EIG_FLOOR
     tr_rho_log_sigma = float(np.sum(weights[mask] * np.log2(evs[mask])))
     return EntropicValue(tr_rho_log_rho - tr_rho_log_sigma)
@@ -88,8 +104,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> EntropicVa
 
 def max_relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> EntropicValue:
     """D_max = log2 of the largest eigenvalue of sigma^{-1/2} rho sigma^{-1/2}."""
-    if rho.system.dim != sigma.system.dim:
-        raise DimensionMismatch("max-relative entropy needs operators of equal dimension")
+    _require_same_registers(rho, sigma, "max-relative entropy")
     evs, vecs = np.linalg.eigh(sigma.matrix)
     if _kernel_mass(rho.matrix, evs, vecs) > SUPPORT_TOL:
         return EntropicValue.infinite()
@@ -164,11 +179,9 @@ def _joint_eigensystem(rho_mat: np.ndarray, sigma_mat: np.ndarray):
         comp = block.conj().T @ rho_mat @ block
         ev_r, vec_r = np.linalg.eigh((comp + comp.conj().T) / 2)
         cols = block @ vec_r
-        for k in range(j - i):
-            v = cols[:, k]
-            p[i + k] = ev_r[k]
-            q[i + k] = float(np.real(v.conj() @ sigma_mat @ v))
-            joint[:, i + k] = v
+        p[i:j] = ev_r
+        q[i:j] = _spectral_weights(cols, sigma_mat)
+        joint[:, i:j] = cols
         i = j
     return p, q, joint
 
@@ -228,7 +241,7 @@ def _threshold_test(rho_mat: np.ndarray, sigma_mat: np.ndarray, eps: float):
 
     def decompose(mu: float):
         evals, vecs = np.linalg.eigh(rho_mat - mu * sigma_mat)
-        pw = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), rho_mat, vecs))
+        pw = _spectral_weights(vecs, rho_mat)
         return evals, vecs, pw
 
     def captured(mu: float) -> float:
@@ -263,7 +276,7 @@ def _threshold_test(rho_mat: np.ndarray, sigma_mat: np.ndarray, eps: float):
         if btol > max(1.0, scale):
             break
     w = 0.0 if cap_bnd <= 1e-15 else min(max((target - cap_pos) / cap_bnd, 0.0), 1.0)
-    qw = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), sigma_mat, vecs))
+    qw = _spectral_weights(vecs, sigma_mat)
     beta = float(np.sum(qw[pos]) + w * np.sum(qw[bnd]))
     pi = (vecs[:, pos] @ vecs[:, pos].conj().T) + w * (vecs[:, bnd] @ vecs[:, bnd].conj().T)
     return beta, pi
@@ -280,8 +293,7 @@ def optimal_hypothesis_test(
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if rho.system.dim != sigma.system.dim:
-        raise DimensionMismatch("hypothesis testing needs operators of equal dimension")
+    _require_same_registers(rho, sigma, "hypothesis testing")
     rm, sm = rho.matrix, sigma.matrix
     if trace_norm(rm @ sm - sm @ rm) <= COMMUTE_TOL:
         p, q, joint = _joint_eigensystem(rm, sm)
@@ -307,21 +319,20 @@ def restricted_hypothesis_test(
     rho: DensityOperator,
     sigma: DensityOperator,
     eps: float,
-    collapsing: CollapsingMap | None = None,
 ) -> tuple[EntropicValue, np.ndarray]:
     """Hypothesis testing restricted to free (diagonal) test operators.
 
-    Because the collapsing map is self-adjoint and surjective onto the free
+    Because dephasing is self-adjoint and surjective onto the free
     measurement operators, the restricted quantity equals the unrestricted
-    one between the collapsed states; the optimal test is then diagonal.
+    one between the dephased states; the optimal test is then diagonal.
     When Tr(rho) < 1 - eps the constraint is unsatisfiable and the test is
     the identity.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    cmap = collapsing if collapsing is not None else dephasing_map()
-    rho_d = cmap.apply(rho)
-    sigma_d = cmap.apply(sigma)
+    _require_same_registers(rho, sigma, "restricted hypothesis testing")
+    rho_d = dephase(rho)
+    sigma_d = dephase(sigma)
     d = rho.system.dim
     if rho.trace() < 1.0 - eps:
         tr_sigma = sigma_d.trace()
@@ -335,9 +346,8 @@ def restricted_hypothesis_testing(
     rho: DensityOperator,
     sigma: DensityOperator,
     eps: float,
-    collapsing: CollapsingMap | None = None,
 ) -> EntropicValue:
-    return restricted_hypothesis_test(rho, sigma, eps, collapsing)[0]
+    return restricted_hypothesis_test(rho, sigma, eps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +407,6 @@ def conditional_mutual_information(rho: DensityOperator, part_a, part_b, part_c)
 
 def relative_entropy_of_coherence(rho: DensityOperator) -> float:
     """R_c(rho) = S(dephase(rho)) - S(rho), the min over diagonal sigma of D(rho||sigma)."""
-    from .coherence import dephase
-
     return von_neumann_entropy(dephase(rho)) - von_neumann_entropy(rho)
 
 

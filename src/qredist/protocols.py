@@ -349,7 +349,11 @@ def convex_split_bound_check(
     q_labels = list(sigma_q.system.labels)
     p_labels = [lab for lab in rho_pq.system.labels if lab not in q_labels]
     rho_p = partial_trace(rho_pq, p_labels)
-    kval = max_relative_entropy(rho_pq, tensor(rho_p, sigma_q))
+    product = tensor(rho_p, sigma_q)
+    # compare in rho_pq's register order; the usual (P, Q) order skips the extra validation
+    if product.system.labels != rho_pq.system.labels:
+        product = qmat.permute_registers(product, rho_pq.system.labels)
+    kval = max_relative_entropy(rho_pq, product)
     if not kval.finite:
         raise InvalidState("joint state is unsupported on marginal x sigma")
     n = int(math.ceil(2.0 ** kval.value / delta - 1e-12))
@@ -378,7 +382,7 @@ def uhlmann_isometry(
     """Isometry V on the non-shared part of psi_ac maximizing <psi_ab|(id x V)|psi_ac>.
 
     The achieved overlap equals the fidelity of the two marginals on the
-    shared registers.  Built from a full SVD of the cross-overlap matrix.
+    shared registers.  Built from a thin SVD of the cross-overlap matrix.
     """
     if shared is None:
         shared = [lab for lab in psi_ab.system.labels if lab in set(psi_ac.system.labels)]
@@ -408,8 +412,8 @@ def uhlmann_isometry(
             f"target side dimension {db} is smaller than source side {dc}"
         )
     m = y.conj().T @ x
-    u, _, vh = np.linalg.svd(m, full_matrices=True)
-    v = np.conj(u[:, :dc] @ vh)
+    u, _, vh = np.linalg.svd(m, full_matrices=False)
+    v = np.conj(u @ vh)
     return Isometry(
         psi_ac.system.subsystem(rest_c), psi_ab.system.subsystem(rest_b), v
     )
@@ -480,7 +484,8 @@ def qsr_parameters(instance: QsrInstance) -> QsrParameters:
     if not kval.finite:
         raise InvalidState("instance violates the support condition against sigma_c")
     delta = instance.eps1 ** 2
-    n = instance.n_override or int(math.ceil(2.0 ** kval.value / delta - 1e-12))
+    n = (instance.n_override if instance.n_override is not None
+         else int(math.ceil(2.0 ** kval.value / delta - 1e-12)))
     if n < 1:
         raise ValueError("slot count must be positive")
 
@@ -494,7 +499,7 @@ def qsr_parameters(instance: QsrInstance) -> QsrParameters:
         b_raw = n
     else:
         b_raw = int(math.ceil(instance.gamma ** 4 * 2.0 ** d_f - 1e-12))
-    b = instance.b_override or max(1, min(b_raw, n))
+    b = instance.b_override if instance.b_override is not None else max(1, min(b_raw, n))
     if not 1 <= b <= n:
         raise ValueError(f"block size {b} outside [1, {n}]")
     cobits = int(math.ceil(math.log2(n / b) - 1e-12)) if n > b else 0
@@ -600,14 +605,27 @@ def _overlap_weight(
     return float(np.sum(np.abs(w) ** 2))
 
 
-def _accumulate_marginal(
-    acc: np.ndarray, amps: np.ndarray, sys_: RegisterSystem, labels: list[str]
-) -> np.ndarray:
-    axes = [sys_.axis(lab) for lab in labels]
-    rest = [i for i in range(len(sys_.dims)) if i not in axes]
-    t = np.transpose(amps.reshape(sys_.dims), axes + rest)
-    x = t.reshape(int(np.prod([sys_.dims[a] for a in axes])), -1)
-    return acc + x @ x.conj().T
+def _test_roots(pi_bc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measurement operators (sqrt(Pi), sqrt(id - Pi)) of a diagonal test."""
+    diag = np.diagonal(pi_bc).real
+    return (np.diag(np.sqrt(np.clip(diag, 0.0, None))).astype(complex),
+            np.diag(np.sqrt(np.clip(1.0 - diag, 0.0, None))).astype(complex))
+
+
+def _sequential_branches(
+    amps: np.ndarray, sys_: RegisterSystem, roots: tuple[np.ndarray, np.ndarray], b: int
+):
+    """Bob's sequential test on (B, C_k), k = 1..b: yields (k, branch, system) for the
+    test first firing on slot k, with C_k swapped into C1, then (b + 1, branch, system)
+    for no firing.  Branches stay subnormalized; squared norms are the probabilities."""
+    sqrt_yes, sqrt_no = roots
+    for k in range(1, b + 1):
+        fired, f_sys = apply_subsystem_matrix(amps, sys_, sqrt_yes, ["B", f"C{k}"])
+        if k > 1:
+            f_sys = qmat.relabel_system(f_sys, {f"C{k}": "C1", "C1": f"C{k}"})
+        yield k, fired, f_sys
+        amps, sys_ = apply_subsystem_matrix(amps, sys_, sqrt_no, ["B", f"C{k}"])
+    yield b + 1, amps, sys_
 
 
 def qsr_decoder_p1(
@@ -639,8 +657,7 @@ def qsr_decoder_p1(
     if pi_bc.shape != (d_bc, d_bc):
         raise DimensionMismatch(f"test operator shape {pi_bc.shape}, expected {(d_bc, d_bc)}")
 
-    sqrt_yes = np.diag(np.sqrt(np.clip(diag, 0.0, None))).astype(complex)
-    sqrt_no = np.diag(np.sqrt(np.clip(1.0 - diag, 0.0, None))).astype(complex)
+    roots = _test_roots(pi_bc)
 
     branches = _branch_vectors(mu_state, b)
     for amps, sys_ in branches:
@@ -653,22 +670,13 @@ def qsr_decoder_p1(
     marginal = np.zeros((d_out, d_out), dtype=complex)
 
     for amps, start_sys in branches:
-        current, cur_sys = amps, start_sys
-        for k in range(1, b + 1):
-            fired, f_sys = apply_subsystem_matrix(current, cur_sys, sqrt_yes, ["B", f"C{k}"])
-            if k > 1:
-                f_sys = qmat.relabel_system(f_sys, {f"C{k}": "C1", "C1": f"C{k}"})
-            w = float(np.vdot(fired, fired).real)
+        for k, branch, sys_k in _sequential_branches(amps, start_sys, roots, b):
+            w = float(np.vdot(branch, branch).real)
             outcome_probs[k] += w
             if w > 1e-18:
-                fid2 += _overlap_weight(fired, f_sys, mu_state.phi, {"C": "C1"})
-                marginal = _accumulate_marginal(marginal, fired, f_sys, ["R", "A", "B", "C1"])
-            current, cur_sys = apply_subsystem_matrix(current, cur_sys, sqrt_no, ["B", f"C{k}"])
-        w = float(np.vdot(current, current).real)
-        outcome_probs[b + 1] += w
-        if w > 1e-18:
-            fid2 += _overlap_weight(current, cur_sys, mu_state.phi, {"C": "C1"})
-            marginal = _accumulate_marginal(marginal, current, cur_sys, ["R", "A", "B", "C1"])
+                fid2 += _overlap_weight(branch, sys_k, mu_state.phi, {"C": "C1"})
+                keep = [sys_k.axis(lab) for lab in ("R", "A", "B", "C1")]
+                marginal += qmat.vector_marginal_matrix(branch, sys_k.dims, keep)
 
     f = math.sqrt(min(max(fid2, 0.0), 1.0))
     p_dist = math.sqrt(max(0.0, 1.0 - f * f))
@@ -794,6 +802,7 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
     slot_probs = []
     fid2 = 0.0
     outcome_totals: dict[int, float] = {}
+    roots = _test_roots(params.pi_bc)
     for j in range(1, n + 1):
         amps = np.take(tens, j - 1, axis=j_axis).reshape(-1)
         pj = float(np.vdot(amps, amps).real)
@@ -812,23 +821,11 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
                 swap[f"C{i}"] = f"C{src}"
             sys_j = qmat.relabel_system(branch_sys, swap)
         # sequential decoding on the first b slots
-        current, cur_sys = amps, sys_j
-        pi_diag = np.diagonal(params.pi_bc).real
-        sqrt_yes = np.diag(np.sqrt(np.clip(pi_diag, 0.0, None))).astype(complex)
-        sqrt_no = np.diag(np.sqrt(np.clip(1.0 - pi_diag, 0.0, None))).astype(complex)
-        for k in range(1, b + 1):
-            fired, f_sys = apply_subsystem_matrix(current, cur_sys, sqrt_yes, ["B", f"C{k}"])
-            if k > 1:
-                f_sys = qmat.relabel_system(f_sys, {f"C{k}": "C1", "C1": f"C{k}"})
-            w = float(np.vdot(fired, fired).real)
+        for k, branch, sys_k in _sequential_branches(amps, sys_j, roots, b):
+            w = float(np.vdot(branch, branch).real)
             outcome_totals[k] = outcome_totals.get(k, 0.0) + w
             if w > 1e-18:
-                fid2 += _overlap_weight(fired, f_sys, psi, {"C": "C1"})
-            current, cur_sys = apply_subsystem_matrix(current, cur_sys, sqrt_no, ["B", f"C{k}"])
-        w = float(np.vdot(current, current).real)
-        outcome_totals[b + 1] = outcome_totals.get(b + 1, 0.0) + w
-        if w > 1e-18:
-            fid2 += _overlap_weight(current, cur_sys, psi, {"C": "C1"})
+                fid2 += _overlap_weight(branch, sys_k, psi, {"C": "C1"})
 
     t.add(
         "alice measures the slot register and announces the block index",

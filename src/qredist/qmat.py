@@ -114,7 +114,10 @@ def qubits(*labels: str) -> RegisterSystem:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Read-only complex copy; every validated class rejects NaN and infinity here."""
     out = np.array(arr, dtype=complex)
+    if not np.isfinite(out).all():
+        raise InvalidState("array has non-finite entries")
     out.setflags(write=False)
     return out
 
@@ -296,6 +299,17 @@ def marginal_matrix(mat: np.ndarray, dims: Sequence[int], keep_axes: Sequence[in
     return np.einsum("ajbj->ab", t)
 
 
+def vector_marginal_matrix(
+    amps: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]
+) -> np.ndarray:
+    """Marginal of raw, possibly subnormalized amplitudes on the listed axes, in that order."""
+    keep = list(keep_axes)
+    rest = [i for i in range(len(dims)) if i not in keep]
+    t = np.transpose(amps.reshape(dims), keep + rest)
+    x = t.reshape(_prod(dims[a] for a in keep), -1)
+    return x @ x.conj().T
+
+
 def apply_subsystem_matrix(
     amps: np.ndarray,
     sys_: RegisterSystem,
@@ -384,12 +398,8 @@ def partial_trace(rho: DensityOperator, keep: Sequence[str]) -> DensityOperator:
 def vector_marginal(psi: StateVector, keep: Sequence[str]) -> DensityOperator:
     """Marginal density operator of a pure state, without forming the global matrix."""
     axes = sorted(psi.system.axis(l) for l in keep)
-    rest = [i for i in range(len(psi.system.dims)) if i not in axes]
-    t = np.transpose(psi.tensorized(), axes + rest)
-    dk = _prod(psi.system.dims[a] for a in axes)
-    x = t.reshape(dk, -1)
     sub = RegisterSystem(tuple(psi.system.registers[a] for a in axes))
-    return DensityOperator(sub, x @ x.conj().T)
+    return DensityOperator(sub, vector_marginal_matrix(psi.amplitudes, psi.system.dims, axes))
 
 
 def permute_registers(rho: DensityOperator, new_order: Sequence[str]) -> DensityOperator:

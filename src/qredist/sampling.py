@@ -66,15 +66,3 @@ def random_channel(
     v = random_isometry(din, dout * m, rng)
     kraus = tuple(v.reshape(dout, m, din)[:, i, :] for i in range(m))
     return KrausChannel(in_sys, out_sys, kraus)
-
-
-def random_contraction(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian operator with spectrum in [0, 1]."""
-    u = random_unitary(dim, rng)
-    return (u * rng.uniform(0.0, 1.0, size=dim)) @ u.conj().T
-
-
-def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    u = random_unitary(dim, rng)
-    cols = u[:, :rank]
-    return cols @ cols.conj().T

@@ -34,6 +34,10 @@ def files(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
     paths["broken.json"] = str(bad)
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"registers": [{"label": "Q", "dim": 2}], '
+                   '"matrix": [[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}')
+    paths["nan.json"] = str(nan)
     paths["dir"] = str(tmp_path)
     return paths
 
@@ -126,6 +130,9 @@ def test_quantity_input_errors(capsys, files):
     assert code == 2
     code, _, err = run(capsys, ["quantity", "s", files["dir"] + "/missing.json"])
     assert code == 2
+    code, out, err = run(capsys, ["quantity", "s", files["nan.json"]])
+    assert code == 2 and out == ""
+    assert "non-finite" in err
     code, _, err = run(capsys, ["quantity", "mi", files["ghz.json"]])
     assert code == 2  # missing --parts
 
@@ -257,6 +264,14 @@ def test_simulate_qsr_budget_and_override(capsys):
                                 "--n-override", "4", "--format", "json"])
     assert code == 0
     assert json.loads(out)["details"]["overridden"] is True
+
+
+@pytest.mark.parametrize("flag, message", [("--n-override", "slot count must be positive"),
+                                           ("--b-override", "block size 0 outside")])
+def test_simulate_qsr_rejects_zero_override(capsys, flag, message):
+    code, out, err = run(capsys, ["simulate", "qsr", flag, "0"])
+    assert code == 2 and out == ""
+    assert message in err
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from qredist import qmat
 from qredist.coherence import (
-    THEORIES,
     CollapsingMap,
     IncoherentKrausSet,
     NotFreeOperation,
@@ -179,7 +178,6 @@ def test_coherence_additive_on_products():
 def test_collapsing_map_contract():
     cmap = dephasing_map()
     assert isinstance(cmap, CollapsingMap)
-    assert cmap.surjective_on_free_measurements
     rng = np.random.default_rng(7)
     rho = random_density(qmat.qubits("A", "B"), rng)
     assert np.allclose(cmap.apply(rho).matrix, dephase(rho).matrix)
@@ -235,7 +233,6 @@ def test_povm_from_elements_statistics():
 def test_coherence_theory_bundle():
     theory = coherence_theory()
     assert theory.name == "coherence"
-    assert THEORIES["coherence"]().name == "coherence"
     assert theory.is_free_state(DensityOperator(qmat.qubits("Q"), np.diag([0.5, 0.5])))
     assert not theory.is_free_state(plus_state().to_density())
     rng = np.random.default_rng(10)

@@ -223,6 +223,25 @@ def test_hypothesis_testing_monotone_in_eps():
     assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("quantity", [
+    relative_entropy,
+    max_relative_entropy,
+    relative_entropy_variance,
+    lambda rho, sigma: optimal_hypothesis_test(rho, sigma, 0.1),
+    lambda rho, sigma: restricted_hypothesis_test(rho, sigma, 0.1),
+])
+def test_relative_entropies_compare_registers(quantity):
+    rng = np.random.default_rng(14)
+    rho = random_density(qmat.qubits("A", "B"), rng)
+    sigma = random_density(qmat.qubits("A", "B"), rng)
+    for other in (qmat.permute_registers(sigma, ["B", "A"]),
+                  qmat.relabel_density(sigma, {"B": "C"})):
+        with pytest.raises(qmat.DimensionMismatch) as info:
+            quantity(rho, other)
+        assert str(list(rho.system.registers)) in str(info.value)
+        assert str(list(other.system.registers)) in str(info.value)
+
+
 def test_restricted_test_uniform_hand_value():
     # two maximally coherent qubits against the uniform state: dephasing
     # collapses both to diag(1/4,...), so the value is -log2(1 - eps)
@@ -253,6 +272,9 @@ def test_restricted_subnormalized_edge():
     d, pi = restricted_hypothesis_test(rho, sigma, 0.1)
     assert np.allclose(pi, np.eye(2))
     assert d.value == pytest.approx(0.0, abs=1e-12)
+    # the early return still demands matching registers
+    with pytest.raises(qmat.DimensionMismatch):
+        restricted_hypothesis_test(rho, qmat.relabel_density(sigma, {"Q": "P"}), 0.1)
 
 
 def test_conditional_entropy_bell():

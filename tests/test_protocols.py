@@ -144,6 +144,16 @@ def test_convex_split_bound_check():
     assert chk.fidelity_squared <= 1.0 + 1e-12
 
 
+def test_convex_split_bound_check_register_order():
+    # the joint state stored as (Q, P) describes the same task as (P, Q)
+    rho, sigma = random_split_instance(np.random.default_rng(3), 0.5)
+    plain = convex_split_bound_check(rho, sigma, 0.0, 0.25)
+    flipped = convex_split_bound_check(qmat.permute_registers(rho, ["Q", "P"]), sigma, 0.0, 0.25)
+    assert plain.n == flipped.n == 6
+    assert flipped.k == pytest.approx(plain.k, abs=1e-12)
+    assert flipped.fidelity_squared == pytest.approx(plain.fidelity_squared, abs=1e-12)
+
+
 def test_convex_split_fidelity_improves_with_delta():
     rng = np.random.default_rng(6)
     rho, sigma = random_split_instance(rng, k_cap=0.2)
@@ -168,8 +178,9 @@ def test_convex_split_bound_check_validation():
 def test_uhlmann_isometry_reaches_marginal_fidelity():
     # the achievable overlap equals the fidelity of the shared marginals
     rng = np.random.default_rng(8)
-    for _ in range(10):
-        psi1 = random_pure_state(qmat.qubits("S", "X"), rng)
+    for i in range(20):
+        # the second half has a smaller source side than target side (dc < db)
+        psi1 = random_pure_state(qmat.system(("S", 2), ("X", 2 if i < 10 else 4)), rng)
         psi2 = random_pure_state(qmat.qubits("S", "Y"), rng)
         viso = uhlmann_isometry(psi1, psi2, shared=["S"])
         amps, sys_ = qmat.apply_subsystem_matrix(
@@ -306,6 +317,26 @@ def test_decoder_outcomes_form_distribution():
     assert res.post_state.system.labels == ("R", "A", "B", "C1")
     assert 0.0 <= res.fidelity <= 1.0
     assert res.purified_distance <= res.transcript.details["claim_bound"] + 1e-9
+
+
+def test_decoder_matches_qsr_full_outcomes():
+    # qsr_full decodes each announced block with the same sequential test, so
+    # its outcome statistics are those of the block mixture up to the
+    # purified distance of the transfer (the trace distance bounds every
+    # outcome probability)
+    from dataclasses import replace
+
+    instances = builtin_qsr_instances()
+    for inst in [*instances.values(), replace(instances["classical-side-info"], b_override=2)]:
+        params = qsr_parameters(inst)
+        full = qsr_full(inst)
+        res = qsr_decoder_p1(BlockMixture(phi=inst.psi, sigma_c=inst.sigma_c),
+                             params.b, params.pi_bc)
+        slack = math.sqrt(max(0.0, 1.0 - full.details["overlap"] ** 2)) + 1e-9
+        full_probs = full.steps[-1].data["outcome_probs"]
+        assert sorted(full_probs) == sorted(str(k) for k in res.outcome_probs)
+        for k, p in res.outcome_probs.items():
+            assert full_probs[str(k)] == pytest.approx(p, abs=slack)
 
 
 def test_decoder_rejects_non_free_tests():

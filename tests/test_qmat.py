@@ -81,6 +81,23 @@ def test_state_vector_validation():
     assert np.allclose(rho.matrix, np.full((2, 2), 0.5))
 
 
+_NON_FINITE = {
+    "StateVector": lambda x: StateVector(qmat.qubits("Q"), np.array([x, 1.0])),
+    "DensityOperator": lambda x: DensityOperator(qmat.qubits("Q"), np.diag([x, 0.5])),
+    "Isometry": lambda x: Isometry(qmat.qubits("Q"), qmat.qubits("Q"), np.diag([x, 1.0])),
+    "KrausChannel": lambda x: KrausChannel(qmat.qubits("Q"), qmat.qubits("Q"),
+                                           (np.diag([x, 1.0]),)),
+    "Povm": lambda x: Povm(qmat.qubits("Q"), (np.diag([x, 1.0]),)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("cls", sorted(_NON_FINITE))
+def test_validated_classes_reject_non_finite(cls, bad):
+    with pytest.raises(InvalidState, match="non-finite"):
+        _NON_FINITE[cls](bad)
+
+
 def test_density_operator_validation():
     sys_ = qmat.qubits("Q")
     with pytest.raises(InvalidState):
