@@ -38,10 +38,10 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .protocols import (
-    BlockMixture,
     BoundViolation,
     BudgetExceeded,
     MAX_AMPLITUDES,
+    QsrInstance,
     builtin_qsr_instances,
     coherence_creation,
     convex_split_bound_check,
@@ -119,6 +119,32 @@ def _load_vector(path: str) -> StateVector:
     if not isinstance(state, StateVector):
         raise InputError(f"{path}: expected a pure state (amplitudes), found a density matrix")
     return state
+
+
+def _pure_input(args: argparse.Namespace) -> StateVector:
+    """The pure state from exactly one of a state file or --random-qubits."""
+    if (args.state is None) == (args.random_qubits is None):
+        raise InputError("provide exactly one of a state file or --random-qubits")
+    return (_load_vector(args.state) if args.state is not None
+            else _random_pure_rabc(args.seed, args.random_qubits))
+
+
+def _split_pair(args: argparse.Namespace) -> tuple[DensityOperator, DensityOperator]:
+    """Joint state and reference from --state and --sigma, or a seeded capped draw."""
+    if args.state is None:
+        return random_split_instance(np.random.default_rng(args.seed), args.k_cap)
+    if args.sigma is None:
+        raise InputError(f"{args.target} with a state file also needs --sigma")
+    return load_density(args.state), load_density(args.sigma)
+
+
+def _builtin_instance(name: str) -> QsrInstance:
+    instances = builtin_qsr_instances()
+    if name not in instances:
+        raise InputError(
+            f"unknown instance {name!r}; available: {', '.join(sorted(instances))}"
+        )
+    return instances[name]
 
 
 def _entropic(value: EntropicValue | float, allow_inf: bool) -> float | str:
@@ -229,10 +255,7 @@ def cmd_quantity(args: argparse.Namespace) -> str:
 # rates command
 
 def cmd_rates(args: argparse.Namespace) -> str:
-    if (args.state is None) == (args.random_qubits is None):
-        raise InputError("provide exactly one of a state file or --random-qubits")
-    psi = (_load_vector(args.state) if args.state is not None
-           else _random_pure_rabc(args.seed, args.random_qubits))
+    psi = _pure_input(args)
     sigma_c = load_density(args.sigma_c) if args.sigma_c else None
     units = rates.COBIT_UNITS if args.units == "cobits" else rates.QUBIT_UNITS
     report = rates.rate_report(psi, sigma_c).in_units(units)
@@ -284,25 +307,13 @@ def cmd_simulate(args: argparse.Namespace) -> str:
         return _transcript_text(args, t)
 
     if target == "convex-split":
-        if args.state is not None:
-            if args.sigma is None:
-                raise InputError("convex-split with a state file also needs --sigma")
-            rho = load_density(args.state)
-            sigma = load_density(args.sigma)
-        else:
-            rng = np.random.default_rng(args.seed)
-            rho, sigma = random_split_instance(rng, args.k_cap)
+        rho, sigma = _split_pair(args)
         chk = convex_split_bound_check(rho, sigma, eps=args.eps, delta=args.delta)
         row = {"k": chk.k, "n": chk.n, "fidelity_sq": chk.fidelity_squared, "bound": chk.bound}
         return _rows_to_text([row], ["k", "n", "fidelity_sq", "bound"], args.format)
 
     if target == "qsr":
-        instances = builtin_qsr_instances()
-        if args.instance not in instances:
-            raise InputError(
-                f"unknown instance {args.instance!r}; available: {', '.join(sorted(instances))}"
-            )
-        inst = instances[args.instance]
+        inst = _builtin_instance(args.instance)
         changes = {}
         for field_name in ("eps1", "eps2", "gamma", "n_override", "b_override"):
             val = getattr(args, field_name)
@@ -322,10 +333,7 @@ def cmd_simulate(args: argparse.Namespace) -> str:
 def cmd_sweep(args: argparse.Namespace) -> str:
     target = args.target
     if target == "copies":
-        if (args.state is None) == (args.random_qubits is None):
-            raise InputError("provide exactly one of a state file or --random-qubits")
-        psi = (_load_vector(args.state) if args.state is not None
-               else _random_pure_rabc(args.seed, args.random_qubits))
+        psi = _pure_input(args)
         if args.max_copies < 1:
             raise InputError("empty sweep: --max-copies must be at least 1")
         rows = []
@@ -346,14 +354,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         deltas = _parse_float_list(args.deltas)
         if not deltas:
             raise InputError("empty sweep: no delta values given")
-        if args.state is not None:
-            if args.sigma is None:
-                raise InputError("delta sweep with a state file also needs --sigma")
-            rho = load_density(args.state)
-            sigma = load_density(args.sigma)
-        else:
-            rng = np.random.default_rng(args.seed)
-            rho, sigma = random_split_instance(rng, args.k_cap)
+        rho, sigma = _split_pair(args)
         rows = []
         for delta in deltas:
             chk = convex_split_bound_check(rho, sigma, eps=args.eps, delta=delta)
@@ -380,18 +381,11 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         b_values = _parse_int_list(args.b_list)
         if not b_values:
             raise InputError("empty sweep: no block sizes given")
-        instances = builtin_qsr_instances()
-        if args.instance not in instances:
-            raise InputError(
-                f"unknown instance {args.instance!r}; available: {', '.join(sorted(instances))}"
-            )
-        inst = instances[args.instance]
+        inst = _builtin_instance(args.instance)
         params = qsr_parameters(inst)
-        mixture = BlockMixture(phi=inst.psi, sigma_c=inst.sigma_c)
         rows = []
         for b in b_values:
-            res = qsr_decoder_p1(mixture, b, params.pi_bc, eps2=inst.eps2,
-                                 gamma=inst.gamma, d_f=params.d_f, budget=args.budget)
+            res = qsr_decoder_p1(inst, b, params, budget=args.budget)
             rows.append({"b": b, "fidelity": res.fidelity,
                          "purified_distance": res.purified_distance,
                          "claim_bound": res.transcript.details["claim_bound"]})

@@ -2,14 +2,13 @@
 
 Free states are diagonal in the fixed computational product basis, free
 operations have incoherent Kraus representations (at most one nonzero
-entry per column), and free measurement operators are diagonal.  The
-collapsing map is full dephasing, register by register.
+entry per column), and free measurement operators are diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,34 +59,6 @@ def dephase(rho: DensityOperator, labels: Sequence[str] | None = None) -> Densit
         axes = [rho.system.axis(l) for l in labels]
     out = dephase_matrix(rho.matrix, rho.system.dims, axes)
     return DensityOperator(rho.system, out, subnormalized=rho.subnormalized)
-
-
-@dataclass(frozen=True)
-class CollapsingMap:
-    """Idempotent free channel that fixes every free state.
-
-    The shipped instance is register-wise dephasing, which is self-adjoint
-    and surjective onto the diagonal measurement operators; those two
-    properties drive the restricted hypothesis-testing reduction.
-    """
-
-    name: str = "dephasing"
-
-    def apply(self, rho: DensityOperator, labels: Sequence[str] | None = None) -> DensityOperator:
-        return dephase(rho, labels)
-
-    def apply_matrix(self, mat: np.ndarray, sys_: RegisterSystem,
-                     labels: Sequence[str] | None = None) -> np.ndarray:
-        axes = (list(range(len(sys_.dims))) if labels is None
-                else [sys_.axis(l) for l in labels])
-        return dephase_matrix(mat, sys_.dims, axes)
-
-    # dephasing is its own adjoint
-    adjoint_matrix = apply_matrix
-
-
-def dephasing_map() -> CollapsingMap:
-    return CollapsingMap()
 
 
 def is_diagonal(mat: np.ndarray, tol: float = COHERENCE_TOL) -> bool:
@@ -202,38 +173,3 @@ def neumark_branch(dilation: NeumarkDilation, rho: DensityOperator, outcome: int
     evolved = dilation.unitary @ joint @ dilation.unitary.conj().T
     t = evolved.reshape(d, m, d, m)
     return np.ascontiguousarray(t[:, outcome, :, outcome])
-
-
-@dataclass(frozen=True)
-class ResourceTheory:
-    """Free states, operations and measurements, with optional extras.
-
-    ``collapsing`` is the theory's collapsing map when one exists;
-    ``min_relative_entropy_to_free`` computes the relative entropy of
-    resource when a closed form is available;
-    ``min_log_norm_over_free`` gives inf over free states of the sup-norm of
-    the log, the constant entering continuity bounds.
-    """
-
-    name: str
-    is_free_state: Callable[[DensityOperator], bool]
-    is_free_operation: Callable[[KrausChannel], bool]
-    is_free_measurement_operator: Callable[[np.ndarray], bool]
-    collapsing: CollapsingMap | None = None
-    min_relative_entropy_to_free: Callable[[DensityOperator], float] | None = None
-    min_log_norm_over_free: Callable[[RegisterSystem], float] | None = None
-
-
-def coherence_theory() -> ResourceTheory:
-    from .entropy import relative_entropy_of_coherence
-
-    return ResourceTheory(
-        name="coherence",
-        is_free_state=is_free_state,
-        is_free_operation=lambda ch: is_incoherent_channel(ch)[0],
-        is_free_measurement_operator=is_free_measurement_operator,
-        collapsing=dephasing_map(),
-        min_relative_entropy_to_free=relative_entropy_of_coherence,
-        # the uniform state minimizes ||log tau||_inf over diagonal states
-        min_log_norm_over_free=lambda sys_: float(np.log2(sys_.dim)),
-    )

@@ -16,11 +16,12 @@ import numpy as np
 
 from . import qmat
 from .coherence import (
+    IncoherentKrausSet,
     NotFreeOperation,
     dephase,
     is_diagonal,
     is_free_state,
-    is_incoherent_channel,
+    maximally_coherent_state,
 )
 from .entropy import (
     EntropicValue,
@@ -191,12 +192,9 @@ def coherence_creation(q: int, e: int, budget: int = MAX_AMPLITUDES) -> Protocol
         t.singlets_consumed += 1
         rc_after = bob_rc()
         audit.append({"step": len(t.steps), "rc_gain": rc_after - rc_before})
-        cz_channel = KrausChannel(
-            qmat.qubits("a", "b"), qmat.qubits("a", "b"), (_CZ,)
+        IncoherentKrausSet(
+            KrausChannel(qmat.qubits("a", "b"), qmat.qubits("a", "b"), (_CZ,))
         )
-        ok, witness = is_incoherent_channel(cz_channel)
-        if not ok:
-            raise NotFreeOperation(f"controlled-Z failed the incoherence check: {witness}")
         sys_ = RegisterSystem(tuple(bob_regs))
         bob_amps, _ = apply_subsystem_matrix(
             bob_amps, sys_, _CZ, [f"Q{2 * i + 1}", f"Q{2 * i + 2}"]
@@ -228,7 +226,7 @@ def coherence_creation(q: int, e: int, budget: int = MAX_AMPLITUDES) -> Protocol
     if c == 0:
         t.achieved_fidelity = 1.0
     else:
-        target = np.full(2 ** c, 1.0 / math.sqrt(2 ** c), dtype=complex)
+        target = maximally_coherent_state(c).amplitudes
         t.achieved_fidelity = float(abs(np.vdot(target, bob_amps)))
     t.coherent_qubits_out = c
     t.details = {"q": q, "e": e, "coherent_qubits_out": c, "rc_audit": audit}
@@ -422,6 +420,16 @@ def uhlmann_isometry(
 # ---------------------------------------------------------------------------
 # redistribution instances and parameters
 
+def check_free_sigma_c(sigma_c: DensityOperator, dim_c: int) -> None:
+    """A free decoding state lives on register C, matches its dimension and is diagonal."""
+    if sigma_c.system.labels != ("C",):
+        raise RegisterError("sigma_c must live on register C")
+    if sigma_c.system.dim != dim_c:
+        raise DimensionMismatch("sigma_c dimension does not match register C")
+    if not is_free_state(sigma_c):
+        raise NotFreeOperation("sigma_c must be diagonal")
+
+
 @dataclass(frozen=True)
 class QsrInstance:
     """A redistribution task: move C from Alice to Bob against side information.
@@ -446,12 +454,7 @@ class QsrInstance:
                 f"instance state must use registers R, A, B, C, got {self.psi.system.labels}"
             )
         object.__setattr__(self, "psi", qmat.permute_vector(self.psi, ["R", "A", "B", "C"]))
-        if self.sigma_c.system.labels != ("C",):
-            raise RegisterError("sigma_c must live on register C")
-        if self.sigma_c.system.dim != self.psi.system.dim_of(["C"]):
-            raise DimensionMismatch("sigma_c dimension does not match register C")
-        if not is_free_state(self.sigma_c):
-            raise NotFreeOperation("sigma_c must be diagonal")
+        check_free_sigma_c(self.sigma_c, self.psi.system.dim_of(["C"]))
         for nm in ("eps1", "eps2", "gamma"):
             val = getattr(self, nm)
             if not 0.0 < val < 1.0:
@@ -562,14 +565,6 @@ def _idx4(r: int, a: int, b: int, c: int) -> int:
 # ---------------------------------------------------------------------------
 # sequential block decoder
 
-@dataclass(frozen=True)
-class BlockMixture:
-    """(1/b) sum_j Phi_{RBAC_j} x sigma on the other slots, kept in branch form."""
-
-    phi: StateVector          # registers R, A, B, C
-    sigma_c: DensityOperator  # on register C
-
-
 @dataclass
 class DecoderResult:
     transcript: ProtocolTranscript
@@ -579,12 +574,13 @@ class DecoderResult:
     purified_distance: float
 
 
-def _branch_vectors(mixture: BlockMixture, b: int) -> list[tuple[np.ndarray, RegisterSystem]]:
-    """Pure branches of the block mixture, one per slot holding Phi."""
-    sigma_pure = purify(mixture.sigma_c, purifier_label="L")
+def _branch_vectors(instance: QsrInstance, b: int) -> list[tuple[np.ndarray, RegisterSystem]]:
+    """Pure branches of the block mixture (1/b) sum_j Phi_{RABC_j} x sigma on the
+    other slots, one per slot holding Phi."""
+    sigma_pure = purify(instance.sigma_c, purifier_label="L")
     branches = []
     for j in range(1, b + 1):
-        vec = relabel_vector(mixture.phi, {"C": f"C{j}"})
+        vec = relabel_vector(instance.psi, {"C": f"C{j}"})
         for i in range(1, b + 1):
             if i == j:
                 continue
@@ -629,12 +625,9 @@ def _sequential_branches(
 
 
 def qsr_decoder_p1(
-    mu_state: BlockMixture,
+    instance: QsrInstance,
     b: int,
-    pi_bc: np.ndarray,
-    eps2: float | None = None,
-    gamma: float | None = None,
-    d_f: float | None = None,
+    params: QsrParameters,
     budget: int = MAX_AMPLITUDES,
 ) -> DecoderResult:
     """Bob's sequential while-loop decoder over b slots.
@@ -644,8 +637,12 @@ def qsr_decoder_p1(
     outcome b + 1 and counts toward the infidelity.  Measurement branches
     follow the projective realization of the test on a pointer (tracing the
     pointer leaves the square-root measurement operators used here).  Pi
-    must be a free (diagonal) test operator.
+    (``params.pi_bc``) must be a free (diagonal) test operator.  When
+    ``params.d_f`` is finite the distance is checked against the claim bound
+    and, for b 2^(-d_f) <= gamma^4, against eps2 + gamma of the instance.
     """
+    pi_bc, d_f = params.pi_bc, params.d_f
+    eps2, gamma = instance.eps2, instance.gamma
     if b < 1:
         raise ValueError(f"block size must be positive, got {b}")
     if not is_diagonal(pi_bc):
@@ -653,18 +650,18 @@ def qsr_decoder_p1(
     diag = np.diagonal(pi_bc).real
     if diag.min() < -1e-9 or diag.max() > 1.0 + 1e-9:
         raise InvalidState("test operator not between 0 and the identity")
-    d_bc = mu_state.phi.system.dim_of(["B"]) * mu_state.sigma_c.system.dim
+    dim_c = instance.sigma_c.system.dim
+    d_bc = instance.psi.system.dim_of(["B"]) * dim_c
     if pi_bc.shape != (d_bc, d_bc):
         raise DimensionMismatch(f"test operator shape {pi_bc.shape}, expected {(d_bc, d_bc)}")
 
     roots = _test_roots(pi_bc)
 
-    branches = _branch_vectors(mu_state, b)
+    branches = _branch_vectors(instance, b)
     for amps, sys_ in branches:
         _check_budget(amps.shape[0], budget, "decoder branch")
 
-    dim_c = mu_state.sigma_c.system.dim
-    d_out = mu_state.phi.system.dim_of(["R", "A", "B"]) * dim_c
+    d_out = instance.psi.system.dim_of(["R", "A", "B"]) * dim_c
     outcome_probs: dict[int, float] = {k: 0.0 for k in range(1, b + 2)}
     fid2 = 0.0
     marginal = np.zeros((d_out, d_out), dtype=complex)
@@ -674,7 +671,7 @@ def qsr_decoder_p1(
             w = float(np.vdot(branch, branch).real)
             outcome_probs[k] += w
             if w > 1e-18:
-                fid2 += _overlap_weight(branch, sys_k, mu_state.phi, {"C": "C1"})
+                fid2 += _overlap_weight(branch, sys_k, instance.psi, {"C": "C1"})
                 keep = [sys_k.axis(lab) for lab in ("R", "A", "B", "C1")]
                 marginal += qmat.vector_marginal_matrix(branch, sys_k.dims, keep)
 
@@ -688,23 +685,19 @@ def qsr_decoder_p1(
     )
     t.achieved_fidelity = f
     t.details = {"b": b, "purified_distance": p_dist}
-    if d_f is not None and math.isfinite(d_f):
-        chain = (b * 2.0 ** (-d_f) + (eps2 ** 4 if eps2 is not None else 0.0)) ** 0.25
+    if math.isfinite(d_f):
+        chain = (b * 2.0 ** (-d_f) + eps2 ** 4) ** 0.25
         t.details["claim_bound"] = chain
         if p_dist > chain + 1e-9:
             raise BoundViolation(
                 f"decoder distance {p_dist} violates the claim bound {chain}"
             )
-        if (
-            eps2 is not None and gamma is not None
-            and b * 2.0 ** (-d_f) <= gamma ** 4 + 1e-12
-        ):
-            if p_dist > eps2 + gamma + 1e-9:
-                raise BoundViolation(
-                    f"decoder distance {p_dist} violates eps2 + gamma = {eps2 + gamma}"
-                )
+        if b * 2.0 ** (-d_f) <= gamma ** 4 + 1e-12 and p_dist > eps2 + gamma + 1e-9:
+            raise BoundViolation(
+                f"decoder distance {p_dist} violates eps2 + gamma = {eps2 + gamma}"
+            )
     out_sys = RegisterSystem(
-        tuple(mu_state.phi.system.subsystem(["R", "A", "B"]).registers) + (("C1", dim_c),)
+        tuple(instance.psi.system.subsystem(["R", "A", "B"]).registers) + (("C1", dim_c),)
     )
     total = float(np.trace(marginal).real)
     post = DensityOperator(out_sys, marginal / total if total > 0 else marginal)

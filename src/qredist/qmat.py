@@ -396,8 +396,9 @@ def partial_trace(rho: DensityOperator, keep: Sequence[str]) -> DensityOperator:
 
 
 def vector_marginal(psi: StateVector, keep: Sequence[str]) -> DensityOperator:
-    """Marginal density operator of a pure state, without forming the global matrix."""
-    axes = sorted(psi.system.axis(l) for l in keep)
+    """Marginal of a pure state on the named registers, in the order given,
+    without forming the global matrix."""
+    axes = [psi.system.axis(l) for l in keep]
     sub = RegisterSystem(tuple(psi.system.registers[a] for a in axes))
     return DensityOperator(sub, vector_marginal_matrix(psi.amplitudes, psi.system.dims, axes))
 

@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .coherence import NotFreeOperation, dephase, is_free_state
+from .coherence import dephase
 from .entropy import (
     conditional_entropy,
     conditional_mutual_information,
@@ -31,8 +31,7 @@ from .entropy import (
     smoothed_max_relative_entropy_upper_bound,
     von_neumann_entropy,
 )
-from .coherence import ResourceTheory
-from .protocols import QsrInstance
+from .protocols import QsrInstance, check_free_sigma_c
 from .qmat import (
     DensityOperator,
     InvalidState,
@@ -159,15 +158,9 @@ def slepian_wolf_sum_bound(psi: StateVector) -> float:
 # rates with a free (incoherent) decoder
 
 def _free_sigma(psi: StateVector, sigma_c: DensityOperator | None) -> DensityOperator:
-    rho_c = _marginal(psi, ["C"])
     if sigma_c is None:
-        return dephase(rho_c)
-    if sigma_c.system.labels != ("C",):
-        raise RegisterError("sigma_c must live on register C")
-    if sigma_c.system.dim != rho_c.system.dim:
-        raise RegisterError("sigma_c dimension does not match register C")
-    if not is_free_state(sigma_c):
-        raise NotFreeOperation("sigma_c must be diagonal")
+        return dephase(_marginal(psi, ["C"]))
+    check_free_sigma_c(sigma_c, psi.system.dim_of(["C"]))
     return sigma_c
 
 
@@ -270,36 +263,6 @@ def classical_rate_incoherent(
 
 
 # ---------------------------------------------------------------------------
-# splitting in a general resource theory
-
-@dataclass(frozen=True)
-class SplittingRate:
-    value: float
-    units: str
-    theory: str
-    regularization_evaluated: bool
-
-
-def splitting_rate_general(psi: StateVector, theory: ResourceTheory) -> SplittingRate:
-    """Cobit rate I(R:C) plus the distance of the C marginal from the free set.
-
-    For the dephasing theory the regularized distance collapses to the
-    single-copy value by additivity; other theories get the single-letter
-    evaluation with the regularization flagged as not evaluated.
-    """
-    _require(psi, {"R", "C"})
-    rho_rc = _marginal(psi, ["R", "C"])
-    rho_c = partial_trace(rho_rc, ["C"])
-    value = mutual_information(rho_rc, "R", "C") + theory.min_relative_entropy_to_free(rho_c)
-    return SplittingRate(
-        value=float(value),
-        units=COBIT_UNITS,
-        theory=theory.name,
-        regularization_evaluated=(theory.name == "coherence"),
-    )
-
-
-# ---------------------------------------------------------------------------
 # one-shot bound and audits
 
 def one_shot_achievability_bound(
@@ -368,7 +331,8 @@ def audit_converse_equals_achievability(
 def rate_report(
     psi: StateVector, sigma_c: DensityOperator | None = None
 ) -> RateReport:
-    """Evaluate every closed-form rate on one (R, A, B, C) pure state."""
+    """Evaluate every closed-form rate on one (R, A, B, C) pure state, whatever
+    order it stores its registers in."""
     q, q_plus_e = standard_qsr_rates(psi)
     q_inc = incoherent_qsr_rate(psi, sigma_c)
     return RateReport(

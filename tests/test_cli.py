@@ -170,13 +170,18 @@ def test_rates_units_and_formats(capsys):
     assert out.splitlines()[0] == "rate,value,units"
 
 
-def test_rates_input_validation(capsys, files):
+def test_rates_input_validation(capsys, files, tmp_path):
     code, _, _ = run(capsys, ["rates"])
     assert code == 2  # neither a file nor --random-qubits
     code, _, _ = run(capsys, ["rates", files["ghz.json"], "--random-qubits", "4"])
     assert code == 2  # both
     code, _, _ = run(capsys, ["rates", files["mix.json"]])
     assert code == 2  # density file where a vector is required
+    coherent = str(tmp_path / "coherent_c.json")
+    save_state(coherent, DensityOperator(qmat.system(("C", 2)), np.full((2, 2), 0.5)))
+    code, out, err = run(capsys, ["rates", "--random-qubits", "4", "--sigma-c", coherent])
+    assert (code, out) == (2, "")  # a coherent sigma_c is not a free state
+    assert "diagonal" in err
 
 
 def test_rates_output_file(capsys, files, tmp_path):
@@ -278,7 +283,7 @@ def test_simulate_qsr_rejects_zero_override(capsys, flag, message):
 # sweep
 
 
-def test_sweep_copies(capsys):
+def test_sweep_copies(capsys, files):
     code, out, _ = run(capsys, ["sweep", "copies", "--random-qubits", "4",
                                 "--max-copies", "2", "--format", "csv"])
     assert code == 0
@@ -291,6 +296,11 @@ def test_sweep_copies(capsys):
         if key == "copies":
             continue
         assert float(two[key]) == pytest.approx(float(one[key]), abs=1e-7)
+    code, out, _ = run(capsys, ["sweep", "copies"])
+    assert (code, out) == (2, "")  # neither a file nor --random-qubits
+    code, out, _ = run(capsys, ["sweep", "copies", "--state", files["ghz.json"],
+                                "--random-qubits", "4"])
+    assert (code, out) == (2, "")  # both
 
 
 def test_sweep_copies_budget(capsys):
@@ -299,7 +309,7 @@ def test_sweep_copies_budget(capsys):
     assert code == 3  # 16^4 amplitudes exceed the default budget
 
 
-def test_sweep_delta_monotone(capsys):
+def test_sweep_delta_monotone(capsys, files):
     code, out, _ = run(capsys, ["sweep", "delta", "--format", "csv"])
     assert code == 0
     lines = out.splitlines()
@@ -308,6 +318,9 @@ def test_sweep_delta_monotone(capsys):
     assert len(fids) == 3
     # smaller delta, more slots, better fidelity
     assert fids[0] <= fids[1] <= fids[2]
+    code, out, err = run(capsys, ["sweep", "delta", "--state", files["id4.json"]])
+    assert (code, out) == (2, "")  # a state file also needs --sigma
+    assert "--sigma" in err
 
 
 def test_sweep_eps(capsys, files):

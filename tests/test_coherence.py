@@ -5,13 +5,10 @@ import pytest
 
 from qredist import qmat
 from qredist.coherence import (
-    CollapsingMap,
     IncoherentKrausSet,
     NotFreeOperation,
-    coherence_theory,
     dephase,
     dephase_matrix,
-    dephasing_map,
     is_diagonal,
     is_free_measurement_operator,
     is_free_state,
@@ -175,22 +172,6 @@ def test_coherence_additive_on_products():
     assert total == pytest.approx(parts, abs=1e-9)
 
 
-def test_collapsing_map_contract():
-    cmap = dephasing_map()
-    assert isinstance(cmap, CollapsingMap)
-    rng = np.random.default_rng(7)
-    rho = random_density(qmat.qubits("A", "B"), rng)
-    assert np.allclose(cmap.apply(rho).matrix, dephase(rho).matrix)
-    # idempotent on free states
-    free = dephase(rho)
-    assert np.allclose(cmap.apply(free).matrix, free.matrix, atol=1e-12)
-    # adjoint coincides with the map itself
-    x = rng.normal(size=(4, 4))
-    assert np.allclose(
-        cmap.adjoint_matrix(x, rho.system), cmap.apply_matrix(x, rho.system), atol=1e-14
-    )
-
-
 def test_neumark_dilation_reproduces_branches():
     rng = np.random.default_rng(8)
     sys_ = qmat.qubits("Q")
@@ -228,24 +209,3 @@ def test_povm_from_elements_statistics():
     # square roots preserve the outcome probabilities Tr(E_i rho)
     p0 = np.trace(povm.operators[0].conj().T @ povm.operators[0] @ rho.matrix).real
     assert p0 == pytest.approx(np.trace(e0 @ rho.matrix).real, abs=1e-10)
-
-
-def test_coherence_theory_bundle():
-    theory = coherence_theory()
-    assert theory.name == "coherence"
-    assert theory.is_free_state(DensityOperator(qmat.qubits("Q"), np.diag([0.5, 0.5])))
-    assert not theory.is_free_state(plus_state().to_density())
-    rng = np.random.default_rng(10)
-    rho = random_density(qmat.qubits("Q"), rng)
-    assert theory.min_relative_entropy_to_free(rho) == pytest.approx(
-        relative_entropy_of_coherence(rho), abs=1e-12
-    )
-    assert theory.min_log_norm_over_free(qmat.qubits("A", "B")) == pytest.approx(2.0)
-    sys_ = qmat.qubits("Q")
-    flip = KrausChannel(sys_, sys_, (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),))
-    assert theory.is_free_operation(flip)
-    assert not theory.is_free_operation(
-        KrausChannel(sys_, sys_, (_HADAMARD.astype(complex),))
-    )
-    assert theory.is_free_measurement_operator(np.diag([0.3, 0.9]))
-    assert theory.collapsing is not None

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from qredist.entropy import max_relative_entropy
 from qredist.protocols import (
     MAX_AMPLITUDES,
     MAX_DENSITY_DIM,
-    BlockMixture,
     BoundViolation,
     BudgetExceeded,
     QsrInstance,
@@ -281,8 +281,6 @@ def test_qsr_full_budget_guard():
 
 def test_qsr_override_shrinks_slots():
     # fewer slots than prescribed voids the guarantee but still runs
-    from dataclasses import replace
-
     inst = replace(builtin_qsr_instances()["uncorrelated-pure"], n_override=2)
     t = qsr_full(inst)
     assert t.details["n"] == 2
@@ -297,9 +295,8 @@ def test_qsr_override_shrinks_slots():
 def test_decoder_single_slot_identity_test():
     # b = 1 with the always-firing test reproduces the state exactly
     inst = builtin_qsr_instances()["uncorrelated-pure"]
-    mixture = BlockMixture(phi=inst.psi, sigma_c=inst.sigma_c)
-    pi = np.eye(4, dtype=complex)
-    res = qsr_decoder_p1(mixture, 1, pi)
+    params = replace(qsr_parameters(inst), pi_bc=np.eye(4, dtype=complex), d_f=0.0)
+    res = qsr_decoder_p1(inst, 1, params)
     assert res.fidelity == pytest.approx(1.0, abs=1e-9)
     assert res.outcome_probs[1] == pytest.approx(1.0, abs=1e-9)
     assert res.outcome_probs[2] == pytest.approx(0.0, abs=1e-12)
@@ -308,9 +305,7 @@ def test_decoder_single_slot_identity_test():
 def test_decoder_outcomes_form_distribution():
     inst = builtin_qsr_instances()["classical-side-info"]
     params = qsr_parameters(inst)
-    mixture = BlockMixture(phi=inst.psi, sigma_c=inst.sigma_c)
-    res = qsr_decoder_p1(mixture, 2, params.pi_bc,
-                         eps2=inst.eps2, gamma=inst.gamma, d_f=params.d_f)
+    res = qsr_decoder_p1(inst, 2, params)
     total = sum(res.outcome_probs.values())
     assert total == pytest.approx(1.0, abs=1e-9)
     assert res.post_state.trace() == pytest.approx(1.0, abs=1e-9)
@@ -324,14 +319,11 @@ def test_decoder_matches_qsr_full_outcomes():
     # its outcome statistics are those of the block mixture up to the
     # purified distance of the transfer (the trace distance bounds every
     # outcome probability)
-    from dataclasses import replace
-
     instances = builtin_qsr_instances()
     for inst in [*instances.values(), replace(instances["classical-side-info"], b_override=2)]:
         params = qsr_parameters(inst)
         full = qsr_full(inst)
-        res = qsr_decoder_p1(BlockMixture(phi=inst.psi, sigma_c=inst.sigma_c),
-                             params.b, params.pi_bc)
+        res = qsr_decoder_p1(inst, params.b, params)
         slack = math.sqrt(max(0.0, 1.0 - full.details["overlap"] ** 2)) + 1e-9
         full_probs = full.steps[-1].data["outcome_probs"]
         assert sorted(full_probs) == sorted(str(k) for k in res.outcome_probs)
@@ -341,12 +333,12 @@ def test_decoder_matches_qsr_full_outcomes():
 
 def test_decoder_rejects_non_free_tests():
     inst = builtin_qsr_instances()["uncorrelated-pure"]
-    mixture = BlockMixture(phi=inst.psi, sigma_c=inst.sigma_c)
+    params = qsr_parameters(inst)
     coherent_pi = np.full((4, 4), 0.25)
     with pytest.raises(Exception):
-        qsr_decoder_p1(mixture, 1, coherent_pi)
+        qsr_decoder_p1(inst, 1, replace(params, pi_bc=coherent_pi))
     with pytest.raises(Exception):
-        qsr_decoder_p1(mixture, 1, np.diag([1.5, 0.0, 0.0, 0.0]).astype(complex))
+        qsr_decoder_p1(inst, 1, replace(params, pi_bc=np.diag([1.5, 0.0, 0.0, 0.0])))
 
 
 def test_decoder_matches_projective_realization():

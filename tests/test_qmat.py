@@ -165,6 +165,11 @@ def test_vector_marginal_matches_density_route():
     via_vec = vector_marginal(psi, ["A", "C"])
     via_rho = partial_trace(psi.to_density(), ["A", "C"])
     assert np.allclose(via_vec.matrix, via_rho.matrix, atol=1e-12)
+    # registers come out in the order asked for
+    swapped = vector_marginal(psi, ["C", "A"])
+    assert swapped.system.labels == ("C", "A")
+    assert np.allclose(swapped.matrix, permute_registers(via_rho, ["C", "A"]).matrix,
+                       atol=1e-12)
 
 
 def test_permute_and_relabel():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -6,9 +7,9 @@ import numpy as np
 import pytest
 
 from qredist import qmat
-from qredist.coherence import coherence_theory
 from qredist.protocols import builtin_qsr_instances
-from qredist.qmat import DensityOperator, StateVector
+from qredist.coherence import NotFreeOperation
+from qredist.qmat import DensityOperator, DimensionMismatch, StateVector
 from qredist.rates import (
     COBIT_UNITS,
     QUBIT_UNITS,
@@ -23,7 +24,6 @@ from qredist.rates import (
     one_shot_achievability_bound,
     rate_report,
     slepian_wolf_sum_bound,
-    splitting_rate_general,
     standard_qsr_rates,
     tensor_power_state,
 )
@@ -95,17 +95,11 @@ def test_schumacher_hand_values():
 def test_splitting_hand_values():
     assert incoherent_splitting_rate(ghz()) == pytest.approx(0.5, abs=1e-9)
     assert incoherent_splitting_rate(bell_times_plus()) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_splitting_rate_general_bell():
+    # a Bell pair on (R, C): I(R:C) = 2 plus one bit of coherence, halved
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
     psi = StateVector(qmat.qubits("R", "C"), bell)
-    out = splitting_rate_general(psi, coherence_theory())
-    assert out.value == pytest.approx(2.0, abs=1e-9)
-    assert out.units == COBIT_UNITS
-    assert out.theory == "coherence"
-    assert out.regularization_evaluated is True
+    assert incoherent_splitting_rate(psi) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_three_forms_agree_random():
@@ -227,6 +221,27 @@ def test_rate_report_rejects_inconsistent_rates():
             q_min_incoherent=math.inf, q_min_schumacher_incoherent=0.0,
             q_min_splitting_incoherent=0.0, classical_rate_incoherent=0.0,
         )
+
+
+def test_rate_report_accepts_any_register_order():
+    psi = random_pure_state(qmat.qubits("R", "A", "B", "C"), np.random.default_rng(3))
+    canonical = rate_report(psi).entries()
+    orders = list(itertools.permutations(["R", "A", "B", "C"]))
+    assert len(orders) == 24
+    for order in orders:
+        got = rate_report(qmat.permute_vector(psi, order)).entries()
+        for name, val in canonical.items():
+            assert got[name] == pytest.approx(val, abs=1e-12), (order, name)
+
+
+def test_rate_report_checks_sigma_c():
+    psi = random_rabc(4)
+    coherent = DensityOperator(qmat.system(("C", 2)), np.full((2, 2), 0.5))
+    with pytest.raises(NotFreeOperation):
+        rate_report(psi, coherent)
+    wide = DensityOperator(qmat.system(("C", 3)), np.eye(3) / 3.0)
+    with pytest.raises(DimensionMismatch):
+        rate_report(psi, wide)
 
 
 def test_one_shot_bound_frozen_value():
