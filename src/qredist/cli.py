@@ -22,7 +22,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import protocols, rates
+from . import rates
 from .coherence import NotFreeOperation, dephase
 from .entropy import (
     EntropicValue,
@@ -101,7 +101,8 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(round(v)) for v in _parse_float_list(text)]
+    """Integer literals only: "1.6" is refused, not rounded."""
+    return [int(piece) for piece in text.split(",") if piece.strip()]
 
 
 def _random_pure_rabc(seed: int, total_qubits: int) -> StateVector:

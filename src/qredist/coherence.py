@@ -13,11 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .qmat import (
-    HERM_TOL,
     DensityOperator,
-    InvalidState,
     KrausChannel,
-    Povm,
     RegisterError,
     RegisterSystem,
     StateVector,
@@ -69,13 +66,6 @@ def is_free_state(rho: DensityOperator, tol: float = COHERENCE_TOL) -> bool:
     return is_diagonal(rho.matrix, tol)
 
 
-def is_free_measurement_operator(op: np.ndarray, tol: float = COHERENCE_TOL) -> bool:
-    if not is_diagonal(op, tol):
-        return False
-    diag = np.diagonal(op).real
-    return bool(diag.min() >= -tol and diag.max() <= 1.0 + tol)
-
-
 def is_incoherent_channel(
     channel: KrausChannel, tol: float = COHERENCE_TOL
 ) -> tuple[bool, tuple[int, int] | None]:
@@ -114,62 +104,3 @@ def maximally_coherent_state(num_qubits: int, prefix: str = "Q") -> StateVector:
     sys_ = RegisterSystem(tuple((f"{prefix}{i + 1}", 2) for i in range(num_qubits)))
     d = 2 ** num_qubits
     return StateVector(sys_, np.full(d, 1.0 / np.sqrt(d), dtype=complex))
-
-
-@dataclass(frozen=True)
-class NeumarkDilation:
-    """Unitary on system x pointer realizing a measurement projectively."""
-
-    unitary: np.ndarray
-    system: RegisterSystem
-    pointer_label: str
-
-    @property
-    def pointer_dim(self) -> int:
-        return self.system.registers[-1][1]
-
-
-def neumark_dilation(povm: Povm, pointer_label: str = "P") -> NeumarkDilation:
-    """Dilate measurement operators {A_i} to a unitary on system x pointer.
-
-    The block isometry V|psi> = sum_i (A_i |psi>) x |i> fills the pointer-0
-    input columns; the remaining columns come from the orthonormal
-    complement of its range.  Projecting the pointer of
-    U (rho x |0><0|) U^dag onto |i> reproduces the branch A_i rho A_i^dag.
-    """
-    if pointer_label in povm.system.labels:
-        raise RegisterError(f"pointer label {pointer_label!r} collides with a system register")
-    d = povm.system.dim
-    m = len(povm.operators)
-    stack = np.stack(povm.operators)            # (m, d, d)
-    v = np.transpose(stack, (1, 0, 2)).reshape(d * m, d)
-    if m == 1:
-        q_rest = np.zeros((d, 0), dtype=complex)
-    else:
-        q = np.linalg.qr(v, mode="complete")[0]
-        q_rest = q[:, d:]
-    u = np.zeros((d * m, d * m), dtype=complex)
-    cols = [(s, k) for s in range(d) for k in range(m)]
-    rest_iter = iter(range(q_rest.shape[1]))
-    for s, k in cols:
-        col = s * m + k
-        if k == 0:
-            u[:, col] = v[:, s]
-        else:
-            u[:, col] = q_rest[:, next(rest_iter)]
-    if np.max(np.abs(u.conj().T @ u - np.eye(d * m))) > max(HERM_TOL, 1e-9 * d * m):
-        raise InvalidState("Neumark completion failed to produce a unitary")
-    sys_ = RegisterSystem(povm.system.registers + ((pointer_label, m),))
-    return NeumarkDilation(u, sys_, pointer_label)
-
-
-def neumark_branch(dilation: NeumarkDilation, rho: DensityOperator, outcome: int) -> np.ndarray:
-    """Unnormalized post-measurement branch <i|_P U (rho x |0><0|) U^dag |i>_P."""
-    m = dilation.pointer_dim
-    d = rho.system.dim
-    pointer0 = np.zeros((m, m), dtype=complex)
-    pointer0[0, 0] = 1.0
-    joint = np.kron(rho.matrix, pointer0)
-    evolved = dilation.unitary @ joint @ dilation.unitary.conj().T
-    t = evolved.reshape(d, m, d, m)
-    return np.ascontiguousarray(t[:, outcome, :, outcome])

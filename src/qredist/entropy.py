@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.special
@@ -112,46 +111,6 @@ def max_relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> Entrop
     isq = (vecs * inv_half) @ vecs.conj().T
     lam = float(np.linalg.eigvalsh(isq @ rho.matrix @ isq)[-1])
     return EntropicValue(float(np.log2(max(lam, EIG_FLOOR))))
-
-
-def smoothed_max_relative_entropy_upper_bound(
-    rho: DensityOperator, sigma: DensityOperator, eps: float
-) -> EntropicValue:
-    """Heuristic upper bound on the eps-smoothed max-relative entropy.
-
-    Prunes the smallest eigenvalues of rho (total mass at most eps^2, so
-    the pruned state stays within purified distance eps), renormalizes and
-    reports the best candidate.  This is an upper bound on the true
-    smoothed infimum, not the optimum.
-    """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must be in [0, 1), got {eps}")
-    best = max_relative_entropy(rho, sigma)
-    evals, vecs = np.linalg.eigh(rho.matrix)
-    order = np.argsort(evals)
-    budget = eps * eps
-    pruned = 0.0
-    drop: list[int] = []
-    for idx in order:
-        if evals[idx] <= 0:
-            drop.append(idx)
-            continue
-        if pruned + evals[idx] > budget:
-            break
-        pruned += evals[idx]
-        drop.append(idx)
-        keep = np.ones(len(evals), dtype=bool)
-        keep[drop] = False
-        lam = np.where(keep, np.clip(evals, 0.0, None), 0.0)
-        total = lam.sum()
-        if total <= EIG_FLOOR:
-            continue
-        cand_mat = (vecs * (lam / total)) @ vecs.conj().T
-        cand = DensityOperator(rho.system, cand_mat)
-        val = max_relative_entropy(cand, sigma)
-        if val.finite and (not best.finite or val.value < best.value):
-            best = val
-    return best
 
 
 # ---------------------------------------------------------------------------

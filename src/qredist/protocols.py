@@ -18,13 +18,11 @@ from . import qmat
 from .coherence import (
     IncoherentKrausSet,
     NotFreeOperation,
-    dephase,
     is_diagonal,
     is_free_state,
     maximally_coherent_state,
 )
 from .entropy import (
-    EntropicValue,
     max_relative_entropy,
     relative_entropy_of_coherence,
     restricted_hypothesis_test,
@@ -342,8 +340,8 @@ def convex_split_bound_check(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if eps < 0.0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     q_labels = list(sigma_q.system.labels)
     p_labels = [lab for lab in rho_pq.system.labels if lab not in q_labels]
     rho_p = partial_trace(rho_pq, p_labels)
@@ -362,7 +360,7 @@ def convex_split_bound_check(
     sq_sigma = psd_sqrt(sigma_q.matrix)
     for _ in range(n):
         sqrt_target = np.kron(sqrt_target, sq_sigma)
-    f = fidelity_matrices(tau.matrix, None, sqrt_sigma=sqrt_target)  # type: ignore[arg-type]
+    f = fidelity_matrices(tau.matrix, sqrt_target)
     f = min(max(f, 0.0), 1.0)
     f2 = f * f
     bound = 1.0 - (math.sqrt(delta) + 2.0 * eps) ** 2

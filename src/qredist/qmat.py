@@ -9,18 +9,16 @@ the full dimension are never materialized.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-# Shared numerical tolerances.  Normalization, hermiticity and positivity
-# checks use the 1e-9 family; reconstruction checks (Stinespring, Neumark)
-# are allowed the looser 1e-8.
+# Shared numerical tolerances for normalization, hermiticity and positivity.
 NORM_TOL = 1e-9
 HERM_TOL = 1e-9
 PSD_TOL = 1e-9
-RECON_TOL = 1e-8
 
 # Eigenvalues below this floor are treated as exact zeros when taking
 # logarithms, square roots or numerical ranks.
@@ -46,6 +44,17 @@ def _prod(xs: Iterable[int]) -> int:
     return out
 
 
+def _register_dim(label: object, dim: object) -> int:
+    """A dimension as an int; bools and non-integral values are refused, not truncated."""
+    if type(dim) is int:  # the common case, kept off the slower ABC check
+        return dim
+    if isinstance(dim, numbers.Integral) and not isinstance(dim, bool):
+        return int(dim)
+    if isinstance(dim, (float, np.floating)) and float(dim).is_integer():
+        return int(dim)
+    raise RegisterError(f"register {label!r} has non-integral dimension {dim!r}")
+
+
 @dataclass(frozen=True)
 class RegisterSystem:
     """Ordered collection of labeled registers spanning a tensor product."""
@@ -53,7 +62,7 @@ class RegisterSystem:
     registers: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        regs = tuple((str(lab), int(dim)) for lab, dim in self.registers)
+        regs = tuple((str(lab), _register_dim(lab, dim)) for lab, dim in self.registers)
         object.__setattr__(self, "registers", regs)
         labels = [lab for lab, _ in regs]
         if len(set(labels)) != len(labels):
@@ -205,12 +214,11 @@ class Isometry:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive map given by Kraus operators; trace preserving unless flagged."""
+    """Trace-preserving completely positive map given by Kraus operators."""
 
     in_system: RegisterSystem
     out_system: RegisterSystem
     kraus: tuple[np.ndarray, ...]
-    subnormalized: bool = False
 
     def __post_init__(self):
         ops = tuple(_frozen(k) for k in self.kraus)
@@ -223,48 +231,8 @@ class KrausChannel:
                 raise DimensionMismatch(f"Kraus shape {k.shape}, expected {(dout, din)}")
         total = sum(k.conj().T @ k for k in ops)
         dev = np.max(np.abs(total - np.eye(din)))
-        if self.subnormalized:
-            evals = np.linalg.eigvalsh(total)
-            if evals[-1] > 1.0 + HERM_TOL:
-                raise InvalidState("Kraus completeness sum exceeds the identity")
-        elif dev > max(HERM_TOL, 1e-9 * din):
+        if dev > max(HERM_TOL, 1e-9 * din):
             raise InvalidState(f"Kraus completeness deviates by {dev}")
-
-
-@dataclass(frozen=True)
-class Povm:
-    """Measurement operators A_i with sum_i A_i^dag A_i = id.
-
-    Each operator must satisfy 0 <= A_i <= id.  A list of POVM *elements*
-    {E_i} (positive, summing to the identity) is converted by taking
-    operator square roots, which leaves the outcome statistics unchanged.
-    """
-
-    system: RegisterSystem
-    operators: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        ops = tuple(_frozen(a) for a in self.operators)
-        object.__setattr__(self, "operators", ops)
-        d = self.system.dim
-        if not ops:
-            raise InvalidState("a measurement needs at least one operator")
-        for a in ops:
-            if a.shape != (d, d):
-                raise DimensionMismatch(f"operator shape {a.shape}, expected {(d, d)}")
-            if np.max(np.abs(a - a.conj().T)) > HERM_TOL:
-                raise InvalidState("measurement operator is not Hermitian within tolerance")
-            evals = np.linalg.eigvalsh(a)
-            if evals[0] < -PSD_TOL or evals[-1] > 1.0 + PSD_TOL:
-                raise InvalidState("measurement operator not between 0 and the identity")
-        total = sum(a.conj().T @ a for a in ops)
-        if np.max(np.abs(total - np.eye(d))) > max(HERM_TOL, 1e-9 * d):
-            raise InvalidState("measurement completeness sum_i A_i^dag A_i deviates from id")
-
-    @classmethod
-    def from_elements(cls, system: RegisterSystem, elements: Sequence[np.ndarray]) -> "Povm":
-        """Build from POVM elements {E_i} by taking operator square roots."""
-        return cls(system, tuple(psd_sqrt(np.asarray(e, dtype=complex)) for e in elements))
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +409,10 @@ def purify(rho: DensityOperator, purifier_label: str = "P") -> StateVector:
     return StateVector(sys_, amps.reshape(-1))
 
 
-def fidelity_matrices(rho_mat: np.ndarray, sigma_mat: np.ndarray,
-                      sqrt_sigma: np.ndarray | None = None) -> float:
-    """|| sqrt(rho) sqrt(sigma) ||_1 via the spectrum of sqrt(sigma) rho sqrt(sigma)."""
-    s = psd_sqrt(sigma_mat) if sqrt_sigma is None else sqrt_sigma
-    evals = np.linalg.eigvalsh(s @ rho_mat @ s)
+def fidelity_matrices(rho_mat: np.ndarray, sqrt_sigma: np.ndarray) -> float:
+    """|| sqrt(rho) sqrt(sigma) ||_1 from sqrt(sigma), via the spectrum of
+    sqrt(sigma) rho sqrt(sigma)."""
+    evals = np.linalg.eigvalsh(sqrt_sigma @ rho_mat @ sqrt_sigma)
     return float(np.sum(np.sqrt(np.clip(evals, 0.0, None))))
 
 
@@ -453,7 +420,7 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Uhlmann fidelity F = || sqrt(rho) sqrt(sigma) ||_1."""
     if rho.system.registers != sigma.system.registers:
         raise DimensionMismatch("fidelity requires identical register systems")
-    f = fidelity_matrices(rho.matrix, sigma.matrix)
+    f = fidelity_matrices(rho.matrix, psd_sqrt(sigma.matrix))
     return float(min(max(f, 0.0), 1.0))
 
 
@@ -475,30 +442,7 @@ def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperato
     out = np.zeros((channel.out_system.dim, channel.out_system.dim), dtype=complex)
     for k in channel.kraus:
         out += k @ rho.matrix @ k.conj().T
-    return DensityOperator(channel.out_system, out,
-                           subnormalized=rho.subnormalized or channel.subnormalized)
-
-
-def apply_isometry(iso: Isometry, rho: DensityOperator) -> DensityOperator:
-    if iso.in_system.registers != rho.system.registers:
-        raise DimensionMismatch("isometry input system does not match the state")
-    return DensityOperator(iso.out_system, iso.matrix @ rho.matrix @ iso.matrix.conj().T,
-                           subnormalized=rho.subnormalized)
-
-
-def stinespring_dilation(channel: KrausChannel, env_label: str = "E") -> tuple[Isometry, str]:
-    """Isometry V|psi> = sum_i (K_i|psi>) x |i>_env with env dimension = #Kraus.
-
-    Tracing the environment from V rho V^dag recovers the channel action.
-    """
-    if env_label in channel.out_system.labels:
-        raise RegisterError(f"environment label {env_label!r} collides with an output register")
-    m = len(channel.kraus)
-    dout, din = channel.out_system.dim, channel.in_system.dim
-    stack = np.stack(channel.kraus)          # (m, dout, din)
-    v = np.transpose(stack, (1, 0, 2)).reshape(dout * m, din)
-    out_sys = RegisterSystem(channel.out_system.registers + ((env_label, m),))
-    return Isometry(channel.in_system, out_sys, v), env_label
+    return DensityOperator(channel.out_system, out, subnormalized=rho.subnormalized)
 
 
 def relabel_system(sys_: RegisterSystem, mapping: dict[str, str]) -> RegisterSystem:
@@ -516,17 +460,3 @@ def relabel_vector(psi: StateVector, mapping: dict[str, str]) -> StateVector:
 def relabel_density(rho: DensityOperator, mapping: dict[str, str]) -> DensityOperator:
     return DensityOperator(relabel_system(rho.system, mapping), rho.matrix,
                            subnormalized=rho.subnormalized)
-
-
-def computational_basis_vector(sys_: RegisterSystem, digits: Sequence[int]) -> StateVector:
-    """Product basis state |d_1 d_2 ...> for the given per-register digits."""
-    if len(digits) != len(sys_.dims):
-        raise DimensionMismatch("one digit per register required")
-    idx = 0
-    for d, dim in zip(digits, sys_.dims):
-        if not 0 <= d < dim:
-            raise DimensionMismatch(f"digit {d} out of range for dimension {dim}")
-        idx = idx * dim + d
-    amps = np.zeros(sys_.dim, dtype=complex)
-    amps[idx] = 1.0
-    return StateVector(sys_, amps)

@@ -17,21 +17,16 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-import numpy as np
-
 from .coherence import dephase
 from .entropy import (
     conditional_entropy,
     conditional_mutual_information,
-    max_relative_entropy,
     mutual_information,
     relative_entropy,
     relative_entropy_of_coherence,
-    restricted_hypothesis_testing,
-    smoothed_max_relative_entropy_upper_bound,
     von_neumann_entropy,
 )
-from .protocols import QsrInstance, check_free_sigma_c
+from .protocols import QsrInstance, check_free_sigma_c, qsr_parameters
 from .qmat import (
     DensityOperator,
     InvalidState,
@@ -119,13 +114,6 @@ class RateReport:
         return buf.getvalue()
 
 
-def _marginal(psi: StateVector, labels: list[str]) -> DensityOperator:
-    present = [lab for lab in labels if lab in psi.system.labels]
-    if not present:
-        raise RegisterError(f"state has none of the registers {labels}")
-    return vector_marginal(psi, present)
-
-
 def _require(psi: StateVector, labels: set[str]) -> None:
     missing = labels - set(psi.system.labels)
     if missing:
@@ -138,7 +126,7 @@ def _require(psi: StateVector, labels: set[str]) -> None:
 def standard_qsr_rates(psi: StateVector) -> tuple[float, float]:
     """(Q, Q + E): half the conditional mutual information, and S(C|B)."""
     _require(psi, {"R", "B", "C"})
-    rho = _marginal(psi, ["R", "B", "C"])
+    rho = vector_marginal(psi, ["R", "B", "C"])
     q = 0.5 * conditional_mutual_information(rho, "C", "R", "B")
     q_plus_e = conditional_entropy(rho, "C", "B")
     return q, q_plus_e
@@ -147,7 +135,7 @@ def standard_qsr_rates(psi: StateVector) -> tuple[float, float]:
 def slepian_wolf_sum_bound(psi: StateVector) -> float:
     """Total resource lower bound S of the dephased (B, C) state given dephased B."""
     _require(psi, {"B", "C"})
-    rho_bc = _marginal(psi, ["B", "C"])
+    rho_bc = vector_marginal(psi, ["B", "C"])
     return (
         von_neumann_entropy(dephase(rho_bc))
         - von_neumann_entropy(dephase(partial_trace(rho_bc, ["B"])))
@@ -159,7 +147,7 @@ def slepian_wolf_sum_bound(psi: StateVector) -> float:
 
 def _free_sigma(psi: StateVector, sigma_c: DensityOperator | None) -> DensityOperator:
     if sigma_c is None:
-        return dephase(_marginal(psi, ["C"]))
+        return dephase(vector_marginal(psi, ["C"]))
     check_free_sigma_c(sigma_c, psi.system.dim_of(["C"]))
     return sigma_c
 
@@ -175,7 +163,7 @@ def incoherent_rate_forms(
     in closed form, so disagreement flags a numerical defect.
     """
     _require(psi, {"R", "B", "C"})
-    rho_rbc = _marginal(psi, ["R", "B", "C"])
+    rho_rbc = vector_marginal(psi, ["R", "B", "C"])
     rho_bc = partial_trace(rho_rbc, ["B", "C"])
     rho_b = partial_trace(rho_rbc, ["B"])
     cmi = conditional_mutual_information(rho_rbc, "R", "C", "B")
@@ -227,28 +215,10 @@ def incoherent_schumacher_rate(rho_c: DensityOperator) -> float:
     )
 
 
-def incoherent_slepian_wolf_rate(psi: StateVector) -> float:
-    """Qubit rate when the reference is not conditioned on: B may be present."""
-    _require(psi, {"R", "C"})
-    labels = ["R", "B", "C"] if "B" in psi.system.labels else ["R", "C"]
-    rho = _marginal(psi, labels)
-    rho_bc = partial_trace(rho, [lab for lab in labels if lab != "R"])
-    if "B" in psi.system.labels:
-        rho_b = partial_trace(rho, ["B"])
-        rc_b = relative_entropy_of_coherence(rho_b)
-    else:
-        rc_b = 0.0
-    return 0.5 * (
-        mutual_information(rho, "C", "R")
-        + relative_entropy_of_coherence(rho_bc)
-        - rc_b
-    )
-
-
 def incoherent_splitting_rate(psi: StateVector) -> float:
     """Qubit rate for handing C to a receiver with no prior side information."""
     _require(psi, {"R", "C"})
-    rho_rc = _marginal(psi, ["R", "C"])
+    rho_rc = vector_marginal(psi, ["R", "C"])
     return 0.5 * (
         mutual_information(rho_rc, "C", "R")
         + relative_entropy_of_coherence(partial_trace(rho_rc, ["C"]))
@@ -263,66 +233,20 @@ def classical_rate_incoherent(
 
 
 # ---------------------------------------------------------------------------
-# one-shot bound and audits
+# one-shot bound
 
-def one_shot_achievability_bound(
-    instance: QsrInstance, smoothing: str = "none"
-) -> float:
+def one_shot_achievability_bound(instance: QsrInstance) -> float:
     """Sufficient cobit count for one run of the instance.
 
-    The leading term substitutes the plain max-relative entropy
-    (``smoothing="none"``) or its eigenvalue-pruning upper bound at
-    smoothing radius eps1 (``smoothing="prune"``) for the smoothed
-    max-relative entropy; both dominate the smoothed quantity, so the
-    returned count remains sufficient.
+    The leading term is the plain max-relative entropy k of
+    :func:`~qredist.protocols.qsr_parameters`, which dominates the smoothed
+    max-relative entropy, so the returned count remains sufficient.
     """
-    psi = instance.psi
-    phi_rbc = vector_marginal(psi, ["R", "B", "C"])
-    phi_rb = vector_marginal(psi, ["R", "B"])
-    phi_bc = vector_marginal(psi, ["B", "C"])
-    phi_b = vector_marginal(psi, ["B"])
-    ref = tensor(phi_rb, instance.sigma_c)
-    if smoothing == "none":
-        k = max_relative_entropy(phi_rbc, ref)
-        if not k.finite:
-            raise InvalidState("instance violates the support condition against sigma_c")
-        k_val = k.value
-    elif smoothing == "prune":
-        k = smoothed_max_relative_entropy_upper_bound(phi_rbc, ref, instance.eps1)
-        if not k.finite:
-            raise InvalidState("instance violates the support condition against sigma_c")
-        k_val = k.value
-    else:
-        raise ValueError(f"unknown smoothing mode {smoothing!r}")
-    d_f = restricted_hypothesis_testing(
-        phi_bc, tensor(phi_b, instance.sigma_c), instance.eps2 ** 4
-    )
-    if not d_f.finite:
+    params = qsr_parameters(instance)
+    if math.isinf(params.d_f):
         raise InvalidState("free test diverges; sigma_c unsupported on the C marginal")
     const = 2.0 * math.log2(2.0 / (instance.eps1 * instance.gamma ** 2))
-    return k_val - d_f.value + const
-
-
-def audit_converse_equals_achievability(
-    psi: StateVector,
-    sigma_c: DensityOperator | None = None,
-    tol: float = FORM_TOL,
-) -> tuple[float, float]:
-    """The necessary and the sufficient asymptotic cobit rates coincide.
-
-    Evaluates the achievable rate as a difference of relative entropies
-    against a free reference and the necessary rate as conditional mutual
-    information plus the local-coherence gap; returns both and raises if
-    they differ beyond ``tol``.
-    """
-    forms = incoherent_rate_forms(psi, sigma_c)
-    achievability = forms[2]
-    converse = forms[1]
-    if abs(achievability - converse) > tol:
-        raise ArithmeticError(
-            f"achievable rate {achievability} and necessary rate {converse} disagree"
-        )
-    return achievability, converse
+    return params.k - params.d_f + const
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +264,7 @@ def rate_report(
         q_plus_e_min_std=q_plus_e,
         sum_bound_slepian_wolf=slepian_wolf_sum_bound(psi),
         q_min_incoherent=q_inc,
-        q_min_schumacher_incoherent=incoherent_schumacher_rate(_marginal(psi, ["C"])),
+        q_min_schumacher_incoherent=incoherent_schumacher_rate(vector_marginal(psi, ["C"])),
         q_min_splitting_incoherent=incoherent_splitting_rate(psi),
         classical_rate_incoherent=2.0 * q_inc,
         details={"registers": {lab: d for lab, d in psi.system.registers}},

@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .qmat import DensityOperator, RegisterSystem, StateVector
+from .qmat import DensityOperator, RegisterError, RegisterSystem, StateVector
 
 
 class StateFileError(ValueError):
@@ -32,8 +32,11 @@ def _system_from_json(obj: Any) -> RegisterSystem:
     for entry in obj:
         if not isinstance(entry, dict) or "label" not in entry or "dim" not in entry:
             raise StateFileError(f"register entry {entry!r} needs 'label' and 'dim'")
-        regs.append((str(entry["label"]), int(entry["dim"])))
-    return RegisterSystem(tuple(regs))
+        regs.append((str(entry["label"]), entry["dim"]))
+    try:
+        return RegisterSystem(tuple(regs))
+    except RegisterError as exc:
+        raise StateFileError(f"invalid registers: {exc}") from exc
 
 
 def _complex_to_pair(z: complex) -> list[float]:

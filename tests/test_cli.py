@@ -38,6 +38,10 @@ def files(tmp_path):
     nan.write_text('{"registers": [{"label": "Q", "dim": 2}], '
                    '"matrix": [[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}')
     paths["nan.json"] = str(nan)
+    for name, dim in (("dim29.json", "2.9"), ("dimtrue.json", "true")):
+        (tmp_path / name).write_text('{"registers": [{"label": "Q", "dim": %s}], '
+                                     '"amplitudes": [[1, 0], [0, 0]]}' % dim)
+        paths[name] = str(tmp_path / name)
     paths["dir"] = str(tmp_path)
     return paths
 
@@ -133,6 +137,10 @@ def test_quantity_input_errors(capsys, files):
     code, out, err = run(capsys, ["quantity", "s", files["nan.json"]])
     assert code == 2 and out == ""
     assert "non-finite" in err
+    for name in ("dim29.json", "dimtrue.json"):  # a dimension is never truncated
+        code, out, err = run(capsys, ["quantity", "s", files[name]])
+        assert code == 2 and out == ""
+        assert "non-integral dimension" in err
     code, _, err = run(capsys, ["quantity", "mi", files["ghz.json"]])
     assert code == 2  # missing --parts
 
@@ -219,6 +227,9 @@ def test_simulate_convex_split(capsys):
     assert row["fidelity_sq"] >= row["bound"]
     code2, out2, _ = run(capsys, ["simulate", "convex-split", "--format", "json"])
     assert out2 == out  # same seed, same bytes
+    for eps in ("nan", "inf"):
+        code, out, err = run(capsys, ["simulate", "convex-split", "--eps", eps])
+        assert (code, out) == (2, "") and "eps must be" in err
 
 
 def test_simulate_convex_split_files(capsys, files, tmp_path):
@@ -321,6 +332,9 @@ def test_sweep_delta_monotone(capsys, files):
     code, out, err = run(capsys, ["sweep", "delta", "--state", files["id4.json"]])
     assert (code, out) == (2, "")  # a state file also needs --sigma
     assert "--sigma" in err
+    for eps in ("nan", "inf"):
+        code, out, err = run(capsys, ["sweep", "delta", "--eps", eps])
+        assert (code, out) == (2, "") and "eps must be" in err
 
 
 def test_sweep_eps(capsys, files):
@@ -343,6 +357,8 @@ def test_sweep_block(capsys):
     assert len(lines) == 3
     code, _, _ = run(capsys, ["sweep", "block", "--b-list", ""])
     assert code == 2
+    code, out, _ = run(capsys, ["sweep", "block", "--b-list", "1.6,2.5"])
+    assert (code, out) == (2, "")  # not rounded to 2, 2
 
 
 # --------------------------------------------------------------------------

@@ -10,15 +10,12 @@ from qredist.coherence import (
     dephase,
     dephase_matrix,
     is_diagonal,
-    is_free_measurement_operator,
     is_free_state,
     is_incoherent_channel,
     maximally_coherent_state,
-    neumark_branch,
-    neumark_dilation,
 )
 from qredist.entropy import relative_entropy_of_coherence
-from qredist.qmat import DensityOperator, KrausChannel, Povm, StateVector
+from qredist.qmat import DensityOperator, KrausChannel, StateVector
 from qredist.sampling import random_channel, random_density, random_pure_state
 
 
@@ -103,9 +100,6 @@ def test_free_state_and_measurement_predicates():
     assert not is_diagonal(np.ones((2, 2)))
     assert is_free_state(DensityOperator(qmat.qubits("Q"), np.diag([0.4, 0.6])))
     assert not is_free_state(plus_state().to_density())
-    assert is_free_measurement_operator(np.diag([0.5, 1.0]))
-    assert not is_free_measurement_operator(np.diag([0.5, 1.5]))  # above id
-    assert not is_free_measurement_operator(_HADAMARD)
 
 
 def test_incoherent_channel_detection():
@@ -170,42 +164,3 @@ def test_coherence_additive_on_products():
     total = relative_entropy_of_coherence(qmat.tensor(a, b))
     parts = relative_entropy_of_coherence(a) + relative_entropy_of_coherence(b)
     assert total == pytest.approx(parts, abs=1e-9)
-
-
-def test_neumark_dilation_reproduces_branches():
-    rng = np.random.default_rng(8)
-    sys_ = qmat.qubits("Q")
-    ch = random_channel(sys_, sys_, rng, env_dim=3)
-    elements = [k.conj().T @ k for k in ch.kraus]
-    povm = Povm.from_elements(sys_, elements)
-    dil = neumark_dilation(povm, pointer_label="P")
-    u = dil.unitary
-    assert np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-9)
-    rho = random_density(sys_, rng)
-    total = 0.0
-    for i, a in enumerate(povm.operators):
-        branch = neumark_branch(dil, rho, i)
-        direct = a @ rho.matrix @ a.conj().T
-        assert np.allclose(branch, direct, atol=1e-9)
-        total += np.trace(branch).real
-    assert total == pytest.approx(1.0, abs=1e-9)
-
-
-def test_neumark_single_operator_edge():
-    sys_ = qmat.qubits("Q")
-    povm = Povm(sys_, (np.eye(2, dtype=complex),))
-    dil = neumark_dilation(povm)
-    rho = DensityOperator(sys_, np.diag([0.2, 0.8]))
-    assert np.allclose(neumark_branch(dil, rho, 0), rho.matrix, atol=1e-12)
-
-
-def test_povm_from_elements_statistics():
-    rng = np.random.default_rng(9)
-    sys_ = qmat.qubits("Q")
-    e0 = np.array([[0.7, 0.1], [0.1, 0.2]], dtype=complex)
-    e1 = np.eye(2) - e0
-    povm = Povm.from_elements(sys_, [e0, e1])
-    rho = random_density(sys_, rng)
-    # square roots preserve the outcome probabilities Tr(E_i rho)
-    p0 = np.trace(povm.operators[0].conj().T @ povm.operators[0] @ rho.matrix).real
-    assert p0 == pytest.approx(np.trace(e0 @ rho.matrix).real, abs=1e-10)

@@ -21,7 +21,6 @@ from qredist.entropy import (
     restricted_hypothesis_test,
     restricted_hypothesis_testing,
     second_order_rate,
-    smoothed_max_relative_entropy_upper_bound,
     von_neumann_entropy,
 )
 from qredist.qmat import DensityOperator, StateVector
@@ -119,29 +118,6 @@ def test_max_relative_entropy_dominates_relative_entropy():
         rho = random_density(sys_, rng)
         sigma = random_density(sys_, rng)
         assert max_relative_entropy(rho, sigma).value >= relative_entropy(rho, sigma).value - 1e-9
-
-
-def test_smoothed_max_relative_entropy_bound():
-    rng = np.random.default_rng(3)
-    sys_ = qmat.qubits("A", "B")
-    for _ in range(10):
-        rho = random_density(sys_, rng)
-        sigma = random_density(sys_, rng)
-        exact = max_relative_entropy(rho, sigma)
-        zero = smoothed_max_relative_entropy_upper_bound(rho, sigma, 0.0)
-        smooth = smoothed_max_relative_entropy_upper_bound(rho, sigma, 0.2)
-        assert zero.value == pytest.approx(exact.value, abs=1e-9)
-        assert smooth.value <= exact.value + 1e-9
-
-
-def test_smoothing_helps_on_a_spiked_state():
-    # tiny eigenvalue with a huge likelihood ratio: pruning removes it
-    rho = diag_state([0.9995, 0.0005])
-    sigma = diag_state([1.0 - 1e-6, 1e-6])
-    exact = max_relative_entropy(rho, sigma).value
-    smooth = smoothed_max_relative_entropy_upper_bound(rho, sigma, 0.1).value
-    assert exact == pytest.approx(math.log2(0.0005 / 1e-6), abs=1e-6)
-    assert smooth < 0.01
 
 
 def test_hypothesis_testing_self_pair():

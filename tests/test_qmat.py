@@ -10,14 +10,11 @@ from qredist.qmat import (
     InvalidState,
     Isometry,
     KrausChannel,
-    Povm,
     RegisterError,
     RegisterSystem,
     StateVector,
     apply_channel,
-    apply_isometry,
     apply_subsystem_matrix,
-    computational_basis_vector,
     fidelity,
     marginal_matrix,
     partial_trace,
@@ -28,7 +25,6 @@ from qredist.qmat import (
     purify,
     relabel_density,
     relabel_vector,
-    stinespring_dilation,
     tensor,
     tensor_vectors,
     trace_norm,
@@ -67,6 +63,13 @@ def test_register_system_rejects_duplicates_and_bad_dims():
         RegisterSystem((("A", 2), ("A", 2)))
     with pytest.raises(RegisterError):
         RegisterSystem((("A", 0),))
+    # a dimension is never truncated: 2.9 is not 2 and True is not 1
+    for bad in (2.9, True, np.bool_(True), math.nan, math.inf, "2"):
+        with pytest.raises(RegisterError):
+            RegisterSystem((("A", bad),))
+    for good in (2, 2.0, np.int64(2), np.float64(2.0)):
+        dims = RegisterSystem((("A", good),)).dims
+        assert dims == (2,) and type(dims[0]) is int
     with pytest.raises(RegisterError):
         qmat.system(("A", 2)).axis("Z")
 
@@ -87,7 +90,6 @@ _NON_FINITE = {
     "Isometry": lambda x: Isometry(qmat.qubits("Q"), qmat.qubits("Q"), np.diag([x, 1.0])),
     "KrausChannel": lambda x: KrausChannel(qmat.qubits("Q"), qmat.qubits("Q"),
                                            (np.diag([x, 1.0]),)),
-    "Povm": lambda x: Povm(qmat.qubits("Q"), (np.diag([x, 1.0]),)),
 }
 
 
@@ -113,12 +115,12 @@ def test_density_operator_validation():
 
 
 def test_basis_vector_ordering():
-    # first register is the most significant digit
-    sys_ = qmat.system(("A", 2), ("B", 3))
-    psi = computational_basis_vector(sys_, [1, 2])
-    expected = np.zeros(6)
-    expected[1 * 3 + 2] = 1.0
-    assert np.allclose(psi.amplitudes, expected)
+    # first register is the most significant digit: |1>_A |2>_B sits at 1 * 3 + 2
+    amps = np.zeros(6)
+    amps[1 * 3 + 2] = 1.0
+    t = StateVector(qmat.system(("A", 2), ("B", 3)), amps).tensorized()
+    assert t.shape == (2, 3)
+    assert t[1, 2] == 1.0 and np.count_nonzero(t) == 1
 
 
 def test_tensor_matches_kron():
@@ -293,7 +295,8 @@ def test_isometry_validation_and_apply():
     v = random_isometry(2, 4, rng)
     iso = Isometry(qmat.system(("A", 2)), qmat.system(("A'", 4)), v)
     rho = random_density(qmat.system(("A", 2)), rng)
-    out = apply_isometry(iso, rho)
+    # an isometry acts as the channel with the single Kraus operator V
+    out = apply_channel(KrausChannel(iso.in_system, iso.out_system, (iso.matrix,)), rho)
     assert out.system.labels == ("A'",)
     assert out.trace() == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(InvalidState):
@@ -309,29 +312,6 @@ def test_kraus_channel_validation_and_apply():
     bad = [np.eye(2) * 0.5]
     with pytest.raises(InvalidState):
         KrausChannel(qmat.qubits("Q"), qmat.qubits("Q"), tuple(bad))
-
-
-def test_stinespring_dilation_reproduces_channel():
-    rng = np.random.default_rng(28)
-    ch = random_channel(qmat.qubits("Q"), qmat.system(("S", 3)), rng, env_dim=2)
-    iso, env = stinespring_dilation(ch, env_label="E")
-    assert env == "E"
-    rho = random_density(qmat.qubits("Q"), rng)
-    lifted = apply_isometry(iso, rho)
-    env_traced = partial_trace(lifted, ["S"])
-    assert np.allclose(env_traced.matrix, apply_channel(ch, rho).matrix, atol=1e-9)
-
-
-def test_povm_completeness_convention():
-    # measurement operators close under sum of squares, not plain sum
-    p = 0.3
-    sys_ = qmat.qubits("Q")
-    ops = (math.sqrt(p) * np.eye(2, dtype=complex),
-           math.sqrt(1 - p) * np.eye(2, dtype=complex))
-    povm = Povm(sys_, ops)
-    assert len(povm.operators) == 2
-    with pytest.raises(InvalidState):
-        Povm(sys_, (p * np.eye(2, dtype=complex), (1 - p) * np.eye(2, dtype=complex)))
 
 
 def test_haar_vector_seeded_and_normalized():

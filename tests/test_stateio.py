@@ -105,3 +105,10 @@ def test_register_dimension_consistency():
             {"registers": [{"label": "Q", "dim": 2}],
              "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
         )
+    # a dimension of 2.9 or true is refused, never truncated to 2 or 1
+    for bad, amps in ((2.9, [[1.0, 0.0], [0.0, 0.0]]), (True, [[1.0, 0.0]])):
+        with pytest.raises(StateFileError, match="non-integral dimension"):
+            state_from_json({"registers": [{"label": "Q", "dim": bad}], "amplitudes": amps})
+    psi = state_from_json({"registers": [{"label": "Q", "dim": 2.0}],
+                           "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
+    assert psi.system.registers == (("Q", 2),)
