@@ -126,8 +126,13 @@ def _pure_input(args: argparse.Namespace) -> StateVector:
     """The pure state from exactly one of a state file or --random-qubits."""
     if (args.state is None) == (args.random_qubits is None):
         raise InputError("provide exactly one of a state file or --random-qubits")
-    return (_load_vector(args.state) if args.state is not None
-            else _random_pure_rabc(args.seed, args.random_qubits))
+    if args.state is not None:
+        return _load_vector(args.state)
+    # 2^N > budget, tested without forming 2^N for a huge N
+    if args.random_qubits >= max(args.budget, 0).bit_length():
+        raise BudgetExceeded(f"{args.random_qubits} random qubits need 2^{args.random_qubits} "
+                             f"amplitudes, over the budget of {args.budget}")
+    return _random_pure_rabc(args.seed, args.random_qubits)
 
 
 def _split_pair(args: argparse.Namespace) -> tuple[DensityOperator, DensityOperator]:

@@ -44,10 +44,7 @@ from .qmat import (
     psd_sqrt,
     purified_distance,
     purify,
-    relabel_density,
-    relabel_vector,
     tensor,
-    tensor_vectors,
     vector_marginal,
 )
 
@@ -234,8 +231,27 @@ def coherence_creation(q: int, e: int, budget: int = MAX_AMPLITUDES) -> Protocol
 # ---------------------------------------------------------------------------
 # convex split
 
-def _copy_labels(q_labels: Sequence[str], j: int) -> dict[str, str]:
-    return {lab: f"{lab}{j}" for lab in q_labels}
+def _slot_swaps(t: np.ndarray, slot_axes: Sequence[Sequence[int]]):
+    """Views of ``t`` with slot 1's axes exchanged for slot j's, for j = 1..n;
+    ``slot_axes[j - 1]`` lists slot j's axes in the order of slot 1's."""
+    first = slot_axes[0]
+    for axes in slot_axes:
+        perm = list(range(t.ndim))
+        for a, b in zip(first, axes):
+            perm[a], perm[b] = b, a
+        yield np.transpose(t, perm)
+
+
+def _with_sigma_copies(
+    amps: np.ndarray, registers: tuple[tuple[str, int], ...], sigma_pure: StateVector,
+    slots: Sequence[int],
+) -> tuple[np.ndarray, RegisterSystem]:
+    """amps x |sigma>_{C_i L_i} for each slot i, the copies' registers appended in slot order."""
+    copies = np.ones(1, dtype=complex)
+    for i in slots:
+        copies = np.kron(copies, sigma_pure.amplitudes)
+        registers += tuple((f"{lab}{i}", d) for lab, d in sigma_pure.system.registers)
+    return np.kron(amps, copies), RegisterSystem(registers)
 
 
 def convex_split_state(
@@ -246,8 +262,8 @@ def convex_split_state(
 ) -> DensityOperator:
     """(1/n) sum_j rho_{PQ_j} x sigma^{x(n-1) on the other slots}.
 
-    Output registers are P followed by the slot copies Q1..Qn.  Terms are
-    produced by permuting one precomputed product, one at a time.
+    Output registers are P, then the slots Q1..Qn in sigma's register order.
+    Term j is the first term, built once, with slots 1 and j swapped.
     """
     if n < 1:
         raise ValueError(f"slot count must be positive, got {n}")
@@ -264,27 +280,21 @@ def convex_split_state(
     total_dim = rho_pq.system.dim * sigma_q.system.dim ** (n - 1)
     _check_budget(total_dim, budget, f"convex split over {n} slots")
 
-    # base term with the correlated slot in position 1
-    base = relabel_density(rho_pq, _copy_labels(q_labels, 1))
-    for j in range(2, n + 1):
-        base = tensor(base, relabel_density(sigma_q, _copy_labels(q_labels, j)))
-    order = p_labels + [f"{lab}{j}" for j in range(1, n + 1) for lab in q_labels]
-    base = qmat.permute_registers(base, order)
-
-    dims = base.system.dims
-    nreg = len(dims)
-    acc = np.array(base.matrix, dtype=complex)
-    for j in range(2, n + 1):
-        # swap slot 1 with slot j by permuting register axes of the base term
-        perm = list(range(nreg))
-        for t_idx, lab in enumerate(q_labels):
-            a1 = base.system.axis(f"{lab}1")
-            aj = base.system.axis(f"{lab}{j}")
-            perm[a1], perm[aj] = perm[aj], perm[a1]
-        tens = base.matrix.reshape(*dims, *dims)
-        tens = np.transpose(tens, perm + [p + nreg for p in perm])
-        acc += tens.reshape(base.system.dim, base.system.dim)
-    return DensityOperator(base.system, acc / n)
+    if list(rho_pq.system.labels) != p_labels + q_labels:
+        rho_pq = qmat.permute_registers(rho_pq, p_labels + q_labels)
+    first = rho_pq.matrix
+    for _ in range(n - 1):
+        first = np.kron(first, sigma_q.matrix)
+    # one axis for P and one per slot, on the row side and on the column side
+    d_q = sigma_q.system.dim
+    t = first.reshape(((rho_pq.system.dim // d_q,) + (d_q,) * n) * 2)
+    acc = np.zeros(t.shape, dtype=complex)
+    for term in _slot_swaps(t, [(j, n + 1 + j) for j in range(1, n + 1)]):
+        acc += term
+    acc /= n
+    sys_ = RegisterSystem(rho_pq.system.registers[:len(p_labels)] + tuple(
+        (f"{lab}{j}", d) for j in range(1, n + 1) for lab, d in sigma_q.system.registers))
+    return DensityOperator(sys_, acc.reshape(total_dim, total_dim))
 
 
 def random_split_instance(
@@ -572,30 +582,29 @@ class DecoderResult:
     purified_distance: float
 
 
-def _branch_vectors(instance: QsrInstance, b: int) -> list[tuple[np.ndarray, RegisterSystem]]:
+def _branch_vectors(
+    instance: QsrInstance, b: int, budget: int
+) -> list[tuple[np.ndarray, RegisterSystem]]:
     """Pure branches of the block mixture (1/b) sum_j Phi_{RABC_j} x sigma on the
-    other slots, one per slot holding Phi."""
+    other slots, one per slot holding Phi.  All share the amplitudes of
+    Phi_{RABC_1} x sigma on slots 2..b; branch j relabels that system C1 <-> Cj,
+    Lj -> L1, so its registers come in another order and are addressed by label."""
     sigma_pure = purify(instance.sigma_c, purifier_label="L")
-    branches = []
-    for j in range(1, b + 1):
-        vec = relabel_vector(instance.psi, {"C": f"C{j}"})
-        for i in range(1, b + 1):
-            if i == j:
-                continue
-            copy = relabel_vector(sigma_pure, {"C": f"C{i}", "L": f"L{i}"})
-            vec = tensor_vectors(vec, copy)
-        branches.append((vec.amplitudes / math.sqrt(b), vec.system))
-    return branches
+    _check_budget(instance.psi.system.dim * sigma_pure.system.dim ** (b - 1), budget,
+                  "decoder branch")
+    amps, sys_ = _with_sigma_copies(
+        instance.psi.amplitudes, qmat.relabel_system(instance.psi.system, {"C": "C1"}).registers,
+        sigma_pure, range(2, b + 1))
+    amps /= math.sqrt(b)
+    swaps = [{}] + [{"C1": f"C{j}", f"C{j}": "C1", f"L{j}": "L1"} for j in range(2, b + 1)]
+    return [(amps, qmat.relabel_system(sys_, swap)) for swap in swaps]
 
 
-def _overlap_weight(
-    amps: np.ndarray, sys_: RegisterSystem, target: StateVector, target_map: dict[str, str]
-) -> float:
-    """Squared norm of the partial inner product <target|branch> over target labels."""
-    tgt = relabel_vector(target, target_map)
-    axes = [sys_.axis(lab) for lab in tgt.system.labels]
+def _overlap_weight(amps: np.ndarray, sys_: RegisterSystem, psi: StateVector) -> float:
+    """Squared norm of the partial inner product <psi_{RABC_1}|branch>."""
+    axes = [sys_.axis(lab) for lab in ("R", "A", "B", "C1")]
     t = amps.reshape(sys_.dims)
-    w = np.tensordot(tgt.tensorized().conj(), t, axes=(list(range(len(axes))), axes))
+    w = np.tensordot(psi.tensorized().conj(), t, axes=(list(range(len(axes))), axes))
     return float(np.sum(np.abs(w) ** 2))
 
 
@@ -654,10 +663,7 @@ def qsr_decoder_p1(
         raise DimensionMismatch(f"test operator shape {pi_bc.shape}, expected {(d_bc, d_bc)}")
 
     roots = _test_roots(pi_bc)
-
-    branches = _branch_vectors(instance, b)
-    for amps, sys_ in branches:
-        _check_budget(amps.shape[0], budget, "decoder branch")
+    branches = _branch_vectors(instance, b, budget)
 
     d_out = instance.psi.system.dim_of(["R", "A", "B"]) * dim_c
     outcome_probs: dict[int, float] = {k: 0.0 for k in range(1, b + 2)}
@@ -669,7 +675,7 @@ def qsr_decoder_p1(
             w = float(np.vdot(branch, branch).real)
             outcome_probs[k] += w
             if w > 1e-18:
-                fid2 += _overlap_weight(branch, sys_k, instance.psi, {"C": "C1"})
+                fid2 += _overlap_weight(branch, sys_k, instance.psi)
                 keep = [sys_k.axis(lab) for lab in ("R", "A", "B", "C1")]
                 marginal += qmat.vector_marginal_matrix(branch, sys_k.dims, keep)
 
@@ -741,35 +747,27 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
         clamped=(params.b_unclamped != b and instance.b_override is None),
     )
 
-    # shared entangled copies |sigma>_{L_i C_i}
-    xi = psi
-    for i in range(1, n + 1):
-        xi = tensor_vectors(xi, relabel_vector(sigma_pure, {"C": f"C{i}", "L": f"L{i}"}))
+    # shared entangled copies |sigma>_{C_i L_i}
+    xi_amps, xi_sys = _with_sigma_copies(psi.amplitudes, psi.system.registers, sigma_pure,
+                                         range(1, n + 1))
+    xi = StateVector(xi_sys, xi_amps)
     t.add(f"alice and bob share {n} purified copies of sigma_c",
           resources={"singlets_consumed": n})
     t.singlets_consumed = n
 
-    # target purification of the convex-split mixture
-    mu_terms = []
-    mu_order = (["J", "R", "A", "B"]
-                + [f"L{i}" for i in range(1, n + 1)]
-                + [f"C{i}" for i in range(1, n + 1)])
-    j_basis = np.eye(n, dtype=complex)
-    for j in range(1, n + 1):
-        term = StateVector(qmat.system(("J", n)), j_basis[j - 1])
-        term = tensor_vectors(term, relabel_vector(psi, {"C": f"C{j}"}))
-        for i in range(1, n + 1):
-            if i == j:
-                zero = np.zeros(d_l, dtype=complex)
-                zero[0] = 1.0
-                term = tensor_vectors(term, StateVector(qmat.system((f"L{i}", d_l)), zero))
-            else:
-                term = tensor_vectors(
-                    term, relabel_vector(sigma_pure, {"C": f"C{i}", "L": f"L{i}"})
-                )
-        mu_terms.append(qmat.permute_vector(term, mu_order))
-    mu_amps = sum(term.amplitudes for term in mu_terms) / math.sqrt(n)
-    mu = StateVector(mu_terms[0].system, mu_amps)
+    # target purification of the convex-split mixture: the slot-1 term
+    # psi_{RABC_1} |0>_{L_1} x sigma on slots 2..n and its slot swaps, stacked along J
+    slots = range(1, n + 1)
+    first, first_sys = _with_sigma_copies(
+        np.kron(psi.amplitudes, np.eye(d_l, dtype=complex)[0]),
+        qmat.relabel_system(psi.system, {"C": "C1"}).registers + (("L1", d_l),),
+        sigma_pure, slots[1:])
+    first, first_sys = permute_vector_axes(
+        first, first_sys, ["R", "A", "B"] + [f"L{i}" for i in slots] + [f"C{i}" for i in slots])
+    mu_amps = np.stack(list(_slot_swaps(first.reshape(first_sys.dims),
+                                        [(2 + i, 2 + n + i) for i in slots])))
+    mu = StateVector(RegisterSystem((("J", n),) + first_sys.registers),
+                     mu_amps.reshape(-1) / math.sqrt(n))
 
     shared = ["R", "B"] + [f"C{i}" for i in range(1, n + 1)]
     viso = uhlmann_isometry(mu, xi, shared=shared)
@@ -816,7 +814,7 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
             w = float(np.vdot(branch, branch).real)
             outcome_totals[k] = outcome_totals.get(k, 0.0) + w
             if w > 1e-18:
-                fid2 += _overlap_weight(branch, sys_k, psi, {"C": "C1"})
+                fid2 += _overlap_weight(branch, sys_k, psi)
 
     t.add(
         "alice measures the slot register and announces the block index",

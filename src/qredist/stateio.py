@@ -44,9 +44,22 @@ def _complex_to_pair(z: complex) -> list[float]:
 
 
 def _pair_to_complex(obj: Any) -> complex:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise StateFileError(f"expected [re, im] pair, got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    """A [re, im] pair of JSON numbers; strings and booleans are refused, not converted."""
+    if isinstance(obj, list) and len(obj) == 2:
+        re, im = obj
+        if (isinstance(re, (int, float)) and isinstance(im, (int, float))
+                and not isinstance(re, bool) and not isinstance(im, bool)):
+            try:
+                return complex(float(re), float(im))
+            except OverflowError as exc:
+                raise StateFileError(f"entry {obj!r} does not fit a double") from exc
+    raise StateFileError(f"expected [re, im] pair of numbers, got {obj!r}")
+
+
+def _list_of(obj: Any, what: str) -> list:
+    if not isinstance(obj, list):
+        raise StateFileError(f"{what} must be a list, got {obj!r}")
+    return obj
 
 
 def state_to_json(state: DensityOperator | StateVector) -> dict[str, Any]:
@@ -71,20 +84,23 @@ def state_from_json(obj: Any) -> DensityOperator | StateVector:
         raise StateFileError("state file is missing 'registers'")
     sys_ = _system_from_json(obj["registers"])
     if "amplitudes" in obj:
-        amps = np.array([_pair_to_complex(p) for p in obj["amplitudes"]], dtype=complex)
+        amps = np.array([_pair_to_complex(p) for p in _list_of(obj["amplitudes"], "'amplitudes'")],
+                        dtype=complex)
         try:
             return StateVector(sys_, amps)
         except ValueError as exc:
             raise StateFileError(f"invalid state vector: {exc}") from exc
     if "matrix" in obj:
-        rows = obj["matrix"]
-        if not isinstance(rows, list):
-            raise StateFileError("'matrix' must be a list of rows")
-        mat = np.array([[_pair_to_complex(p) for p in row] for row in rows], dtype=complex)
+        rows = _list_of(obj["matrix"], "'matrix'")
+        mat = np.array([[_pair_to_complex(p) for p in _list_of(row, "a 'matrix' row")]
+                        for row in rows], dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise StateFileError(f"'matrix' must be square, got shape {mat.shape}")
+        subnormalized = obj.get("subnormalized", False)
+        if not isinstance(subnormalized, bool):
+            raise StateFileError(f"'subnormalized' must be true or false, got {subnormalized!r}")
         try:
-            return DensityOperator(sys_, mat, subnormalized=bool(obj.get("subnormalized", False)))
+            return DensityOperator(sys_, mat, subnormalized=subnormalized)
         except ValueError as exc:
             raise StateFileError(f"invalid density operator: {exc}") from exc
     raise StateFileError("state file needs either 'matrix' or 'amplitudes'")

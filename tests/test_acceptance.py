@@ -12,7 +12,6 @@ import numpy as np
 from scipy.stats import binom
 
 from qredist import qmat
-from qredist.coherence import dephase
 from qredist.entropy import (
     hypothesis_testing_relative_entropy,
     max_relative_entropy,

@@ -141,6 +141,18 @@ def test_quantity_input_errors(capsys, files):
         code, out, err = run(capsys, ["quantity", "s", files[name]])
         assert code == 2 and out == ""
         assert "non-integral dimension" in err
+    # JSON types: a string flag or non-number entries are refused, not converted
+    for name, payload in (
+        ("strflag.json", '"matrix": [[[0.25, 0], [0, 0]], [[0, 0], [0.25, 0]]], '
+                         '"subnormalized": "false"'),
+        ("boolentry.json", '"amplitudes": [[true, false], [0, 0]]'),
+        ("strentry.json", '"amplitudes": [["0", 0], [1, 0]]'),
+    ):
+        path = files["dir"] + "/" + name
+        with open(path, "w") as fh:
+            fh.write('{"registers": [{"label": "Q", "dim": 2}], %s}' % payload)
+        code, out, err = run(capsys, ["quantity", "s", path])
+        assert (code, out) == (2, "")
     code, _, err = run(capsys, ["quantity", "mi", files["ghz.json"]])
     assert code == 2  # missing --parts
 
@@ -318,6 +330,14 @@ def test_sweep_copies_budget(capsys):
     code, _, err = run(capsys, ["sweep", "copies", "--random-qubits", "4",
                                 "--max-copies", "4"])
     assert code == 3  # 16^4 amplitudes exceed the default budget
+
+
+@pytest.mark.parametrize("command", (["rates"], ["sweep", "copies"]))
+def test_random_qubits_respect_budget(capsys, command):
+    # 2^14 amplitudes are refused before the state is drawn
+    code, out, err = run(capsys, [*command, "--random-qubits", "14", "--budget", "64"])
+    assert (code, out) == (3, "")
+    assert "2^14 amplitudes" in err
 
 
 def test_sweep_delta_monotone(capsys, files):

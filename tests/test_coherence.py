@@ -16,7 +16,7 @@ from qredist.coherence import (
 )
 from qredist.entropy import relative_entropy_of_coherence
 from qredist.qmat import DensityOperator, KrausChannel, StateVector
-from qredist.sampling import random_channel, random_density, random_pure_state
+from qredist.sampling import random_channel, random_density
 
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)

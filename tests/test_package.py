@@ -34,9 +34,10 @@ def _unused_imports(source: str) -> list[str]:
 
 def test_modules_use_their_imports():
     unused = {}
-    for path in sorted(Path(qredist.__file__).parent.glob("*.py")):
+    package, tests = Path(qredist.__file__).parent, Path(__file__).parent
+    for path in sorted([*package.glob("*.py"), *tests.glob("*.py")]):
         names = _unused_imports(path.read_text())
         if names:
-            unused[path.name] = names
+            unused[f"{path.parent.name}/{path.name}"] = names
     assert unused == {}
 

@@ -1,17 +1,16 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qredist import qmat
-from qredist.coherence import is_free_state
 from qredist.entropy import max_relative_entropy
 from qredist.protocols import (
     MAX_AMPLITUDES,
     MAX_DENSITY_DIM,
-    BoundViolation,
     BudgetExceeded,
     QsrInstance,
     builtin_qsr_instances,
@@ -29,7 +28,6 @@ from qredist.protocols import (
 from qredist.qmat import (
     DensityOperator,
     RegisterError,
-    StateVector,
     partial_trace,
     tensor,
     vector_marginal,
@@ -107,6 +105,43 @@ def test_convex_split_product_input_is_exact():
     for j in range(1, 5):
         expected = tensor(expected, qmat.relabel_density(sigma, {"Q": f"Q{j}"}))
     assert np.allclose(tau.matrix, expected.matrix, atol=1e-12)
+
+
+def _convex_split_reference(rho_pq, sigma_q, n):
+    """Term-by-term oracle: relabel, tensor and permute each of the n terms."""
+    q_labels = list(sigma_q.system.labels)
+    p_labels = [lab for lab in rho_pq.system.labels if lab not in q_labels]
+    order = p_labels + [f"{lab}{j}" for j in range(1, n + 1) for lab in q_labels]
+    terms = []
+    for j in range(1, n + 1):
+        term = qmat.relabel_density(rho_pq, {lab: f"{lab}{j}" for lab in q_labels})
+        for i in range(1, n + 1):
+            if i != j:
+                term = tensor(term, qmat.relabel_density(
+                    sigma_q, {lab: f"{lab}{i}" for lab in q_labels}))
+        terms.append(qmat.permute_registers(term, order))
+    return terms[0].system, sum(term.matrix for term in terms) / n
+
+
+def test_convex_split_matches_term_by_term_oracle():
+    rng = np.random.default_rng(14)
+    rho, sigma = random_split_instance(rng, k_cap=0.4)
+    joint_p12 = random_density(qmat.system(("P1", 2), ("Q", 2), ("P2", 2)), rng)
+    joint_xy = random_density(qmat.system(("P", 2), ("X", 2), ("Y", 2)), rng)
+    joint_q3 = random_density(qmat.system(("P", 2), ("Q", 3)), rng)
+    cases = [
+        (qmat.permute_registers(rho, ["Q", "P"]), sigma),  # stored as (Q, P)
+        (joint_p12, partial_trace(joint_p12, ["Q"])),  # P over two registers
+        # sigma lists its two registers in the other order
+        (joint_xy, qmat.permute_registers(partial_trace(joint_xy, ["X", "Y"]), ["Y", "X"])),
+        (joint_q3, partial_trace(joint_q3, ["Q"])),  # d_Q = 3
+    ]
+    for joint, sig in cases:
+        for n in range(1, 5):
+            tau = convex_split_state(joint, sig, n)
+            ref_system, ref_matrix = _convex_split_reference(joint, sig, n)
+            assert tau.system == ref_system
+            assert np.max(np.abs(tau.matrix - ref_matrix)) <= 1e-12
 
 
 def test_convex_split_validation():
@@ -329,6 +364,20 @@ def test_decoder_matches_qsr_full_outcomes():
         assert sorted(full_probs) == sorted(str(k) for k in res.outcome_probs)
         for k, p in res.outcome_probs.items():
             assert full_probs[str(k)] == pytest.approx(p, abs=slack)
+
+
+def test_decoder_budget_guard():
+    # the budget is checked before any branch is built, not after all b are
+    inst = builtin_qsr_instances()["classical-side-info"]
+    params = qsr_parameters(inst)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="decoder branch needs 262144 amplitudes"):
+            qsr_decoder_p1(inst, 8, params, budget=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 262144 * 16  # one branch: 16 * 4^7 complex amplitudes
 
 
 def test_decoder_rejects_non_free_tests():

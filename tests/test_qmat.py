@@ -6,7 +6,6 @@ import pytest
 from qredist import qmat
 from qredist.qmat import (
     DensityOperator,
-    DimensionMismatch,
     InvalidState,
     Isometry,
     KrausChannel,
@@ -26,7 +25,6 @@ from qredist.qmat import (
     relabel_density,
     relabel_vector,
     tensor,
-    tensor_vectors,
     trace_norm,
     trace_norm_distance,
     vector_marginal,

@@ -25,7 +25,7 @@ from qredist.rates import (
     standard_qsr_rates,
     tensor_power_state,
 )
-from qredist.sampling import random_density, random_pure_state
+from qredist.sampling import random_pure_state
 
 
 def ghz(labels=("R", "B", "C")):

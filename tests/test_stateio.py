@@ -112,3 +112,24 @@ def test_register_dimension_consistency():
     psi = state_from_json({"registers": [{"label": "Q", "dim": 2.0}],
                            "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
     assert psi.system.registers == (("Q", 2),)
+
+
+def test_rejects_non_json_types():
+    regs = [{"label": "Q", "dim": 2}]
+    half = [[[0.25, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]]
+    # the flag is a JSON boolean; the string "false" used to read as True
+    for flag in ("false", 0, None):
+        with pytest.raises(StateFileError, match="'subnormalized' must be true or false"):
+            state_from_json({"registers": regs, "matrix": half, "subnormalized": flag})
+    # entries are JSON numbers, never booleans or numeric strings
+    for pair in ([True, False], ["1", 0], [1, None]):
+        with pytest.raises(StateFileError, match="pair of numbers"):
+            state_from_json({"registers": regs, "amplitudes": [pair, [0, 0]]})
+        with pytest.raises(StateFileError, match="pair of numbers"):
+            state_from_json({"registers": regs, "matrix": [[pair, [0, 0]], [[0, 0], [0, 0]]]})
+    with pytest.raises(StateFileError, match="does not fit a double"):
+        state_from_json({"registers": regs, "amplitudes": [[10 ** 400, 0], [0, 0]]})
+    with pytest.raises(StateFileError, match="'amplitudes' must be a list"):
+        state_from_json({"registers": regs, "amplitudes": 5})
+    with pytest.raises(StateFileError, match="row must be a list"):
+        state_from_json({"registers": regs, "matrix": [5, 6]})
