@@ -365,8 +365,9 @@ def conditional_mutual_information(rho: DensityOperator, part_a, part_b, part_c)
 
 
 def relative_entropy_of_coherence(rho: DensityOperator) -> float:
-    """R_c(rho) = S(dephase(rho)) - S(rho), the min over diagonal sigma of D(rho||sigma)."""
-    return von_neumann_entropy(dephase(rho)) - von_neumann_entropy(rho)
+    """R_c(rho) = S(dephase(rho)) - S(rho), the min over diagonal sigma of D(rho||sigma);
+    the spectrum of dephase(rho) is the diagonal of rho."""
+    return entropy_of_probs(np.diagonal(rho.matrix).real) - von_neumann_entropy(rho)
 
 
 def gaussian_quantile(eps: float) -> float:

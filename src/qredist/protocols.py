@@ -41,7 +41,6 @@ from .qmat import (
     fidelity_matrices,
     partial_trace,
     permute_vector_axes,
-    psd_sqrt,
     purified_distance,
     purify,
     tensor,
@@ -254,17 +253,11 @@ def _with_sigma_copies(
     return np.kron(amps, copies), RegisterSystem(registers)
 
 
-def convex_split_state(
-    rho_pq: DensityOperator,
-    sigma_q: DensityOperator,
-    n: int,
-    budget: int = MAX_DENSITY_DIM,
-) -> DensityOperator:
-    """(1/n) sum_j rho_{PQ_j} x sigma^{x(n-1) on the other slots}.
-
-    Output registers are P, then the slots Q1..Qn in sigma's register order.
-    Term j is the first term, built once, with slots 1 and j swapped.
-    """
+def _split_inputs(
+    rho_pq: DensityOperator, sigma_q: DensityOperator, n: int, budget: int
+) -> tuple[DensityOperator, RegisterSystem]:
+    """The joint state in (P, Q) order, Q in sigma's register order, and the split
+    state's registers: P, then the slots Q1..Qn in sigma's register order."""
     if n < 1:
         raise ValueError(f"slot count must be positive, got {n}")
     q_labels = list(sigma_q.system.labels)
@@ -276,25 +269,47 @@ def convex_split_state(
     p_labels = [lab for lab in rho_pq.system.labels if lab not in q_labels]
     if not p_labels:
         raise RegisterError("the joint state must have at least one register outside sigma")
-
-    total_dim = rho_pq.system.dim * sigma_q.system.dim ** (n - 1)
-    _check_budget(total_dim, budget, f"convex split over {n} slots")
-
+    _check_budget(rho_pq.system.dim * sigma_q.system.dim ** (n - 1), budget,
+                  f"convex split over {n} slots")
     if list(rho_pq.system.labels) != p_labels + q_labels:
         rho_pq = qmat.permute_registers(rho_pq, p_labels + q_labels)
-    first = rho_pq.matrix
+    return rho_pq, RegisterSystem(rho_pq.system.registers[:len(p_labels)] + tuple(
+        (f"{lab}{j}", d) for j in range(1, n + 1) for lab, d in sigma_q.system.registers))
+
+
+def _split_matrix(rho_pq: np.ndarray, sigma: np.ndarray, n: int) -> np.ndarray:
+    """(1/n) sum_j of the slot-1/slot-j swaps of rho_pq x sigma^{x(n-1)}, rho_pq in (P, Q) order.
+
+    The product and its swapped views are released on return, before the
+    caller validates the result.
+    """
+    d_q = sigma.shape[0]
+    d_p = rho_pq.shape[0] // d_q
+    first = rho_pq
     for _ in range(n - 1):
-        first = np.kron(first, sigma_q.matrix)
+        first = np.kron(first, sigma)
     # one axis for P and one per slot, on the row side and on the column side
-    d_q = sigma_q.system.dim
-    t = first.reshape(((rho_pq.system.dim // d_q,) + (d_q,) * n) * 2)
+    t = first.reshape(((d_p,) + (d_q,) * n) * 2)
     acc = np.zeros(t.shape, dtype=complex)
     for term in _slot_swaps(t, [(j, n + 1 + j) for j in range(1, n + 1)]):
         acc += term
     acc /= n
-    sys_ = RegisterSystem(rho_pq.system.registers[:len(p_labels)] + tuple(
-        (f"{lab}{j}", d) for j in range(1, n + 1) for lab, d in sigma_q.system.registers))
-    return DensityOperator(sys_, acc.reshape(total_dim, total_dim))
+    return acc.reshape(first.shape)
+
+
+def convex_split_state(
+    rho_pq: DensityOperator,
+    sigma_q: DensityOperator,
+    n: int,
+    budget: int = MAX_DENSITY_DIM,
+) -> DensityOperator:
+    """(1/n) sum_j rho_{PQ_j} x sigma^{x(n-1) on the other slots}.
+
+    Output registers are P, then the slots Q1..Qn in sigma's register order.
+    Term j is the first term, built once, with slots 1 and j swapped.
+    """
+    rho_pq, sys_ = _split_inputs(rho_pq, sigma_q, n, budget)
+    return DensityOperator(sys_, _split_matrix(rho_pq.matrix, sigma_q.matrix, n))
 
 
 def random_split_instance(
@@ -363,14 +378,21 @@ def convex_split_bound_check(
     if not kval.finite:
         raise InvalidState("joint state is unsupported on marginal x sigma")
     n = int(math.ceil(2.0 ** kval.value / delta - 1e-12))
-    tau = convex_split_state(rho_pq, sigma_q, n, budget=budget)
+    rho_pq, sys_ = _split_inputs(rho_pq, sigma_q, n, budget)
 
-    # sqrt of the product target assembled factor by factor
-    sqrt_target = psd_sqrt(rho_p.matrix)
-    sq_sigma = psd_sqrt(sigma_q.matrix)
+    # Work in the eigenbasis of the target rho_P x sigma^{xn}: the split state
+    # commutes with U_P x U_sigma^{xn}, so it is built from the rotated joint
+    # state and the diagonal sigma, and the target's root is a diagonal.
+    lam_p, u_p = np.linalg.eigh(rho_p.matrix)
+    lam_q, u_q = np.linalg.eigh(sigma_q.matrix)
+    u = np.kron(u_p, u_q)
+    rotated = u.conj().T @ rho_pq.matrix @ u
+    tau = DensityOperator(sys_, _split_matrix(rotated, np.diag(lam_q), n))
+    root = np.sqrt(np.clip(lam_p, 0.0, None))
+    root_q = np.sqrt(np.clip(lam_q, 0.0, None))
     for _ in range(n):
-        sqrt_target = np.kron(sqrt_target, sq_sigma)
-    f = fidelity_matrices(tau.matrix, sqrt_target)
+        root = np.kron(root, root_q)
+    f = fidelity_matrices(tau.matrix, root)
     f = min(max(f, 0.0), 1.0)
     f2 = f * f
     bound = 1.0 - (math.sqrt(delta) + 2.0 * eps) ** 2

@@ -131,6 +131,26 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_psd(mat: np.ndarray) -> None:
+    """Refuse a Hermitian matrix with an eigenvalue below -PSD_TOL.
+
+    A Cholesky factorization of mat + PSD_TOL * I succeeds only if no
+    eigenvalue lies below -PSD_TOL (up to rounding of about d eps ||mat||),
+    and costs a fraction of a decomposition; only when it fails is the
+    decision taken on the exact smallest eigenvalue.
+    """
+    shifted = mat.copy()
+    shifted.flat[:: mat.shape[0] + 1] += PSD_TOL
+    try:
+        np.linalg.cholesky(shifted)
+        return
+    except np.linalg.LinAlgError:
+        del shifted
+    lam_min = np.linalg.eigvalsh(mat)[0]
+    if lam_min < -PSD_TOL:
+        raise InvalidState(f"matrix has negative eigenvalue {lam_min}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Pure state with unit norm over a register system."""
@@ -173,9 +193,7 @@ class DensityOperator:
             raise DimensionMismatch(f"matrix shape {mat.shape} does not match dimension {d}")
         if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
             raise InvalidState("matrix is not Hermitian within tolerance")
-        evals = np.linalg.eigvalsh(mat)
-        if evals[0] < -PSD_TOL:
-            raise InvalidState(f"matrix has negative eigenvalue {evals[0]}")
+        _check_psd(mat)
         tr = float(mat.trace().real)
         if self.subnormalized:
             if tr > 1.0 + NORM_TOL or tr < -NORM_TOL:
@@ -411,8 +429,12 @@ def purify(rho: DensityOperator, purifier_label: str = "P") -> StateVector:
 
 def fidelity_matrices(rho_mat: np.ndarray, sqrt_sigma: np.ndarray) -> float:
     """|| sqrt(rho) sqrt(sigma) ||_1 from sqrt(sigma), via the spectrum of
-    sqrt(sigma) rho sqrt(sigma)."""
-    evals = np.linalg.eigvalsh(sqrt_sigma @ rho_mat @ sqrt_sigma)
+    sqrt(sigma) rho sqrt(sigma).  A 1-D ``sqrt_sigma`` is the diagonal of a
+    diagonal root, which makes the product an O(d^2) elementwise scaling."""
+    if sqrt_sigma.ndim == 1:
+        evals = np.linalg.eigvalsh(rho_mat * np.outer(sqrt_sigma, sqrt_sigma))
+    else:
+        evals = np.linalg.eigvalsh(sqrt_sigma @ rho_mat @ sqrt_sigma)
     return float(np.sum(np.sqrt(np.clip(evals, 0.0, None))))
 
 

@@ -91,11 +91,12 @@ def state_from_json(obj: Any) -> DensityOperator | StateVector:
         except ValueError as exc:
             raise StateFileError(f"invalid state vector: {exc}") from exc
     if "matrix" in obj:
-        rows = _list_of(obj["matrix"], "'matrix'")
-        mat = np.array([[_pair_to_complex(p) for p in _list_of(row, "a 'matrix' row")]
-                        for row in rows], dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise StateFileError(f"'matrix' must be square, got shape {mat.shape}")
+        rows = [[_pair_to_complex(p) for p in _list_of(row, "a 'matrix' row")]
+                for row in _list_of(obj["matrix"], "'matrix'")]
+        if not rows or any(len(row) != len(rows) for row in rows):
+            raise StateFileError(f"'matrix' must be square, got {len(rows)} rows of lengths "
+                                 f"{sorted({len(row) for row in rows})}")
+        mat = np.array(rows, dtype=complex)
         subnormalized = obj.get("subnormalized", False)
         if not isinstance(subnormalized, bool):
             raise StateFileError(f"'subnormalized' must be true or false, got {subnormalized!r}")

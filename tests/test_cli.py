@@ -147,6 +147,7 @@ def test_quantity_input_errors(capsys, files):
                          '"subnormalized": "false"'),
         ("boolentry.json", '"amplitudes": [[true, false], [0, 0]]'),
         ("strentry.json", '"amplitudes": [["0", 0], [1, 0]]'),
+        ("ragged.json", '"matrix": [[[0.5, 0], [0, 0]], [[0.5, 0]]]'),
     ):
         path = files["dir"] + "/" + name
         with open(path, "w") as fh:

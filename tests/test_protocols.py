@@ -28,7 +28,9 @@ from qredist.protocols import (
 from qredist.qmat import (
     DensityOperator,
     RegisterError,
+    fidelity_matrices,
     partial_trace,
+    psd_sqrt,
     tensor,
     vector_marginal,
 )
@@ -186,6 +188,50 @@ def test_convex_split_bound_check_register_order():
     assert plain.n == flipped.n == 6
     assert flipped.k == pytest.approx(plain.k, abs=1e-12)
     assert flipped.fidelity_squared == pytest.approx(plain.fidelity_squared, abs=1e-12)
+
+
+def _dense_split_fidelity_squared(rho_pq, sigma_q, n):
+    """The dense route: S tau S, S the Kronecker product of the psd_sqrt roots of
+    rho_P and n copies of sigma, then eigvalsh."""
+    p_labels = [lab for lab in rho_pq.system.labels if lab not in sigma_q.system.labels]
+    root = psd_sqrt(partial_trace(rho_pq, p_labels).matrix)
+    for _ in range(n):
+        root = np.kron(root, psd_sqrt(sigma_q.matrix))
+    f = fidelity_matrices(convex_split_state(rho_pq, sigma_q, n).matrix, root)
+    return min(max(f, 0.0), 1.0) ** 2
+
+
+def _embedded_rank_two_sigma(rng):
+    """A joint state on P x Q with d_Q = 3 whose Q marginal has rank 2."""
+    small = random_density(qmat.system(("P", 2), ("Q", 2)), rng).matrix.reshape(2, 2, 2, 2)
+    mat = np.zeros((2, 3, 2, 3), dtype=complex)
+    mat[:, :2, :, :2] = small
+    joint = DensityOperator(qmat.system(("P", 2), ("Q", 3)), mat.reshape(6, 6))
+    return joint, partial_trace(joint, ["Q"])
+
+
+def test_convex_split_fidelity_matches_dense_oracle():
+    # n = ceil(2^k / delta) >= 2 for delta < 1, so n = 2 is the smallest reachable slot count
+    draws = [(0.5, 0.75, 2), (0.5, 0.5, 3), (0.5, 0.25, 6), (0.15, 0.125, 9)]
+    for k_cap, delta, n in draws:
+        rho, sigma = random_split_instance(np.random.default_rng(40), k_cap)
+        chk = convex_split_bound_check(rho, sigma, 0.0, delta)
+        assert chk.n == n
+        assert abs(chk.fidelity_squared - _dense_split_fidelity_squared(rho, sigma, n)) <= 1e-12
+    rng = np.random.default_rng(14)
+    rho, sigma = random_split_instance(rng, 0.5)
+    joint_p12 = random_density(qmat.system(("P1", 2), ("Q", 2), ("P2", 2)), rng)
+    joint_q3 = random_density(qmat.system(("P", 2), ("Q", 3)), rng)
+    cases = [
+        (qmat.permute_registers(rho, ["Q", "P"]), sigma, 0.25, 1e-12),  # stored as (Q, P)
+        (joint_p12, partial_trace(joint_p12, ["Q"]), 0.9, 1e-12),  # P over two registers
+        (joint_q3, partial_trace(joint_q3, ["Q"]), 0.9, 1e-12),  # d_Q = 3
+        # rank-deficient sigma: roots of rounding-level eigenvalues limit the dense route
+        _embedded_rank_two_sigma(rng) + (0.9, 1e-8),
+    ]
+    for joint, sig, delta, tol in cases:
+        chk = convex_split_bound_check(joint, sig, 0.0, delta)
+        assert abs(chk.fidelity_squared - _dense_split_fidelity_squared(joint, sig, chk.n)) <= tol
 
 
 def test_convex_split_fidelity_improves_with_delta():

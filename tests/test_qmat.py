@@ -112,6 +112,31 @@ def test_density_operator_validation():
     assert sub.trace() == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("d", [2, 16, 256])
+@pytest.mark.parametrize("lam_min, accepted", [
+    (-2e-9, False), (-1.01e-9, False), (-0.99e-9, True), (-0.5e-9, True), (0.0, True)])
+def test_positivity_decided_by_smallest_eigenvalue(d, lam_min, accepted):
+    rng = np.random.default_rng(d)
+    rest = rng.random(d - 1) + 0.1
+    spectrum = np.concatenate([[lam_min], rest * (1.0 - lam_min) / rest.sum()])
+    u = random_unitary(d, rng)
+    mat = (u * spectrum) @ u.conj().T
+    sys_ = qmat.system(("S", d))
+    if accepted:
+        DensityOperator(sys_, mat)
+    else:
+        with pytest.raises(InvalidState, match="negative eigenvalue") as exc:
+            DensityOperator(sys_, mat)
+        assert float(str(exc.value).rsplit(" ", 1)[1]) == pytest.approx(lam_min, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 16, 256])
+def test_rank_deficient_states_are_accepted(d):
+    sys_ = qmat.system(("S", d))
+    DensityOperator(sys_, random_pure_state(sys_, np.random.default_rng(d)).to_density().matrix)
+    DensityOperator(sys_, np.zeros((d, d)), subnormalized=True)
+
+
 def test_basis_vector_ordering():
     # first register is the most significant digit: |1>_A |2>_B sits at 1 * 3 + 2
     amps = np.zeros(6)
@@ -279,6 +304,14 @@ def test_trace_norm_and_distance():
     rng = np.random.default_rng(24)
     rho = random_density(qmat.qubits("Q"), rng)
     assert trace_norm_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fidelity_matrices_diagonal_root():
+    rng = np.random.default_rng(27)
+    rho = random_density(qmat.system(("S", 6)), rng)
+    root = np.sqrt(rng.random(6))
+    assert qmat.fidelity_matrices(rho.matrix, root) == pytest.approx(
+        qmat.fidelity_matrices(rho.matrix, np.diag(root)), abs=1e-14)
 
 
 def test_psd_sqrt():

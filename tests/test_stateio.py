@@ -77,6 +77,11 @@ def test_rejects_malformed_payloads(tmp_path):
             {"registers": [{"label": "Q", "dim": 2}],
              "matrix": [[[1.0, 0.0], [0.0, 0.0]]]}  # non-square
         )
+    with pytest.raises(StateFileError, match="must be square"):
+        state_from_json(
+            {"registers": [{"label": "Q", "dim": 2}],
+             "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]]}  # ragged rows
+        )
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(StateFileError):
