@@ -41,6 +41,7 @@ from .protocols import (
     BoundViolation,
     BudgetExceeded,
     MAX_AMPLITUDES,
+    MAX_DENSITY_DIM,
     QsrInstance,
     builtin_qsr_instances,
     coherence_creation,
@@ -122,16 +123,22 @@ def _load_vector(path: str) -> StateVector:
     return state
 
 
+def _budget(args: argparse.Namespace, default: int = MAX_AMPLITUDES) -> int:
+    """--budget when given, else the default cap for what the run materializes."""
+    return default if args.budget is None else args.budget
+
+
 def _pure_input(args: argparse.Namespace) -> StateVector:
     """The pure state from exactly one of a state file or --random-qubits."""
     if (args.state is None) == (args.random_qubits is None):
         raise InputError("provide exactly one of a state file or --random-qubits")
     if args.state is not None:
         return _load_vector(args.state)
+    budget = _budget(args)
     # 2^N > budget, tested without forming 2^N for a huge N
-    if args.random_qubits >= max(args.budget, 0).bit_length():
+    if args.random_qubits >= max(budget, 0).bit_length():
         raise BudgetExceeded(f"{args.random_qubits} random qubits need 2^{args.random_qubits} "
-                             f"amplitudes, over the budget of {args.budget}")
+                             f"amplitudes, over the budget of {budget}")
     return _random_pure_rabc(args.seed, args.random_qubits)
 
 
@@ -309,12 +316,13 @@ def _transcript_text(args: argparse.Namespace, transcript) -> str:
 def cmd_simulate(args: argparse.Namespace) -> str:
     target = args.target
     if target == "coherence-creation":
-        t = coherence_creation(args.q, args.e, budget=args.budget)
+        t = coherence_creation(args.q, args.e, budget=_budget(args))
         return _transcript_text(args, t)
 
     if target == "convex-split":
         rho, sigma = _split_pair(args)
-        chk = convex_split_bound_check(rho, sigma, eps=args.eps, delta=args.delta)
+        chk = convex_split_bound_check(rho, sigma, eps=args.eps, delta=args.delta,
+                                       budget=_budget(args, MAX_DENSITY_DIM))
         row = {"k": chk.k, "n": chk.n, "fidelity_sq": chk.fidelity_squared, "bound": chk.bound}
         return _rows_to_text([row], ["k", "n", "fidelity_sq", "bound"], args.format)
 
@@ -327,7 +335,7 @@ def cmd_simulate(args: argparse.Namespace) -> str:
                 changes[field_name] = val
         if changes:
             inst = replace(inst, **changes)
-        t = qsr_full(inst, budget=args.budget)
+        t = qsr_full(inst, budget=_budget(args))
         return _transcript_text(args, t)
 
     raise InputError(f"unknown simulate target {target!r}")
@@ -342,11 +350,12 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         psi = _pure_input(args)
         if args.max_copies < 1:
             raise InputError("empty sweep: --max-copies must be at least 1")
+        budget = _budget(args)
         rows = []
         for m in range(1, args.max_copies + 1):
-            if psi.system.dim ** m > args.budget:
+            if psi.system.dim ** m > budget:
                 raise BudgetExceeded(
-                    f"{m} copies need {psi.system.dim ** m} amplitudes, over {args.budget}"
+                    f"{m} copies need {psi.system.dim ** m} amplitudes, over {budget}"
                 )
             rep = rates.rate_report(rates.tensor_power_state(psi, m))
             row: dict[str, Any] = {"copies": m}
@@ -361,9 +370,10 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         if not deltas:
             raise InputError("empty sweep: no delta values given")
         rho, sigma = _split_pair(args)
+        budget = _budget(args, MAX_DENSITY_DIM)
         rows = []
         for delta in deltas:
-            chk = convex_split_bound_check(rho, sigma, eps=args.eps, delta=delta)
+            chk = convex_split_bound_check(rho, sigma, eps=args.eps, delta=delta, budget=budget)
             rows.append({"delta": delta, "k": chk.k, "n": chk.n,
                          "fidelity_sq": chk.fidelity_squared, "bound": chk.bound})
         return _rows_to_text(rows, ["delta", "k", "n", "fidelity_sq", "bound"], args.format)
@@ -391,7 +401,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         params = qsr_parameters(inst)
         rows = []
         for b in b_values:
-            res = qsr_decoder_p1(inst, b, params, budget=args.budget)
+            res = qsr_decoder_p1(inst, b, params, budget=_budget(args))
             rows.append({"b": b, "fidelity": res.fidelity,
                          "purified_distance": res.purified_distance,
                          "claim_bound": res.transcript.details["claim_bound"]})
@@ -488,8 +498,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed for any randomness")
     p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
     p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--budget", type=int, default=MAX_AMPLITUDES,
-                   help="largest state vector a run may materialize")
+    p.add_argument("--budget", type=int,
+                   help=f"largest state vector a run may materialize (default {MAX_AMPLITUDES}); "
+                        f"for a convex split, its largest density dimension "
+                        f"(default {MAX_DENSITY_DIM})")
     p.add_argument("--allow-inf", action="store_true",
                    help="report infinite quantities instead of failing")
 

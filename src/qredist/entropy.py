@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .coherence import dephase
 from .qmat import (
@@ -21,6 +20,7 @@ from .qmat import (
     DensityOperator,
     DimensionMismatch,
     InvalidState,
+    RegisterError,
     partial_trace,
     trace_norm,
 )
@@ -314,12 +314,17 @@ def restricted_hypothesis_testing(
 
 
 def _normalize_parts(parts) -> list[list[str]]:
+    """Register groups as label lists; a register may appear only once across all groups."""
     out = []
+    seen = set()
     for part in parts:
-        if isinstance(part, str):
-            out.append([part])
-        else:
-            out.append(list(part))
+        group = [part] if isinstance(part, str) else list(part)
+        for label in group:
+            if label in seen:
+                raise RegisterError(f"register {label!r} appears more than once in the "
+                                    f"groups {parts!r}")
+            seen.add(label)
+        out.append(group)
     return out
 
 
@@ -370,13 +375,6 @@ def relative_entropy_of_coherence(rho: DensityOperator) -> float:
     return entropy_of_probs(np.diagonal(rho.matrix).real) - von_neumann_entropy(rho)
 
 
-def gaussian_quantile(eps: float) -> float:
-    """Inverse of the standard normal CDF."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"quantile argument must be in (0, 1), got {eps}")
-    return float(scipy.special.ndtri(eps))
-
-
 def relative_entropy_variance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """V(rho||sigma) = Tr rho (log2 rho - log2 sigma)^2 - D(rho||sigma)^2."""
     d = relative_entropy(rho, sigma)
@@ -395,14 +393,3 @@ def relative_entropy_variance(rho: DensityOperator, sigma: DensityOperator) -> f
                 continue
             second += w * (np.log2(lam) - np.log2(nu)) ** 2
     return float(max(second - d.value ** 2, 0.0))
-
-
-def second_order_rate(rho: DensityOperator, sigma: DensityOperator, n: int, eps: float) -> float:
-    """Two-term expansion n D + sqrt(n V) * quantile(eps) for n-copy hypothesis testing."""
-    if n < 1:
-        raise ValueError(f"copy count must be positive, got {n}")
-    d = relative_entropy(rho, sigma)
-    if not d.finite:
-        raise InvalidState("second-order expansion undefined on a support violation")
-    v = relative_entropy_variance(rho, sigma)
-    return float(n * d.value + math.sqrt(n * v) * gaussian_quantile(eps))

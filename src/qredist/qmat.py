@@ -458,15 +458,6 @@ def trace_norm_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     return trace_norm(rho.matrix - sigma.matrix)
 
 
-def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperator:
-    if channel.in_system.registers != rho.system.registers:
-        raise DimensionMismatch("channel input system does not match the state")
-    out = np.zeros((channel.out_system.dim, channel.out_system.dim), dtype=complex)
-    for k in channel.kraus:
-        out += k @ rho.matrix @ k.conj().T
-    return DensityOperator(channel.out_system, out, subnormalized=rho.subnormalized)
-
-
 def relabel_system(sys_: RegisterSystem, mapping: dict[str, str]) -> RegisterSystem:
     """Rename registers in place (no axis movement); unknown keys are rejected."""
     unknown = set(mapping) - set(sys_.labels)

@@ -1,4 +1,4 @@
-"""Seeded random states, operators and channels.
+"""Seeded random states and unitaries.
 
 All generators take a ``numpy.random.Generator`` so that a (config, seed)
 pair reproduces identical instances everywhere: pure states are Haar
@@ -12,7 +12,6 @@ import numpy as np
 
 from .qmat import (
     DensityOperator,
-    KrausChannel,
     RegisterSystem,
     StateVector,
     partial_trace,
@@ -46,23 +45,3 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     # fix the phase convention so the distribution is Haar
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def random_isometry(dim_in: int, dim_out: int, rng: np.random.Generator) -> np.ndarray:
-    if dim_out < dim_in:
-        raise ValueError("isometry needs dim_out >= dim_in")
-    return random_unitary(dim_out, rng)[:, :dim_in]
-
-
-def random_channel(
-    in_sys: RegisterSystem,
-    out_sys: RegisterSystem,
-    rng: np.random.Generator,
-    env_dim: int | None = None,
-) -> KrausChannel:
-    """Random CPTP map: Haar isometry into out x env, sliced into Kraus operators."""
-    din, dout = in_sys.dim, out_sys.dim
-    m = env_dim if env_dim is not None else max(2, din)
-    v = random_isometry(din, dout * m, rng)
-    kraus = tuple(v.reshape(dout, m, din)[:, i, :] for i in range(m))
-    return KrausChannel(in_sys, out_sys, kraus)

@@ -158,6 +158,15 @@ def test_quantity_input_errors(capsys, files):
     assert code == 2  # missing --parts
 
 
+@pytest.mark.parametrize("name, parts", [("mi", "R,R"), ("ch", "R+B,B"), ("cmi", "R,B,R"),
+                                         ("mi", "R+B+C,R")])
+def test_quantity_refuses_overlapping_parts(capsys, files, name, parts):
+    # a register named twice is refused, never computed on
+    code, out, err = run(capsys, ["quantity", name, files["ghz.json"], "--parts", parts])
+    assert (code, out) == (2, "")
+    assert "'R'" in err
+
+
 # --------------------------------------------------------------------------
 # rates
 
@@ -339,6 +348,14 @@ def test_random_qubits_respect_budget(capsys, command):
     code, out, err = run(capsys, [*command, "--random-qubits", "14", "--budget", "64"])
     assert (code, out) == (3, "")
     assert "2^14 amplitudes" in err
+
+
+@pytest.mark.parametrize("command", (["simulate", "convex-split"], ["sweep", "delta"]))
+def test_convex_split_respects_budget(capsys, command):
+    # the default draws need splits above dimension 16 (128 for simulate, 64 at the sweep's 0.25)
+    code, out, err = run(capsys, [*command, "--budget", "16"])
+    assert (code, out) == (3, "")
+    assert "budget of 16" in err
 
 
 def test_sweep_delta_monotone(capsys, files):

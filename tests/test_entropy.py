@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.stats import norm
 
 from qredist import qmat
 from qredist.entropy import (
@@ -10,7 +11,6 @@ from qredist.entropy import (
     conditional_entropy,
     conditional_mutual_information,
     entropy_of_probs,
-    gaussian_quantile,
     hypothesis_testing_relative_entropy,
     max_relative_entropy,
     mutual_information,
@@ -20,7 +20,6 @@ from qredist.entropy import (
     relative_entropy_variance,
     restricted_hypothesis_test,
     restricted_hypothesis_testing,
-    second_order_rate,
     von_neumann_entropy,
 )
 from qredist.qmat import DensityOperator, StateVector
@@ -293,6 +292,18 @@ def test_cmi_markov_chain_vanishes():
     assert conditional_mutual_information(rho, "A", "C", "B") == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("quantity, parts", [
+    (mutual_information, ("R", "R")),
+    (conditional_entropy, (["R", "B"], "B")),
+    (conditional_mutual_information, ("R", "B", "R")),
+    (mutual_information, (["R", "B", "C"], "R")),
+    (mutual_information, (["R", "R"], "B")),
+])
+def test_overlapping_register_groups_are_refused(quantity, parts):
+    with pytest.raises(qmat.RegisterError, match="'R'"):
+        quantity(ghz().to_density(), *parts)
+
+
 def test_coherence_hand_values():
     plus = StateVector(qmat.qubits("Q"), np.array([1.0, 1.0]) / math.sqrt(2.0))
     assert relative_entropy_of_coherence(plus.to_density()) == pytest.approx(1.0, abs=1e-12)
@@ -315,14 +326,6 @@ def test_coherence_is_min_over_diagonal_sigma():
             assert d.value >= rc - 1e-8
 
 
-def test_gaussian_quantile_values():
-    assert gaussian_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
-    assert gaussian_quantile(0.05) == pytest.approx(-1.6448536269514729, abs=1e-10)
-    assert gaussian_quantile(0.95) == pytest.approx(1.6448536269514729, abs=1e-10)
-    with pytest.raises(ValueError):
-        gaussian_quantile(0.0)
-
-
 def test_relative_entropy_variance_hand_value():
     rho = diag_state([0.5, 0.5])
     sigma = diag_state([0.25, 0.75])
@@ -331,23 +334,14 @@ def test_relative_entropy_variance_hand_value():
     assert relative_entropy_variance(rho, rho) == pytest.approx(0.0, abs=1e-10)
 
 
-def test_second_order_rate_expansion():
-    rho = diag_state([0.5, 0.5])
-    sigma = diag_state([0.25, 0.75])
-    d = relative_entropy(rho, sigma).value
-    v = relative_entropy_variance(rho, sigma)
-    for n in (1, 10, 100):
-        got = second_order_rate(rho, sigma, n, 0.05)
-        expected = n * d + math.sqrt(n * v) * gaussian_quantile(0.05)
-        assert got == pytest.approx(expected, abs=1e-9)
-
-
 def test_second_order_tracks_hypothesis_testing_iid():
     # n-copy hypothesis testing between commuting states approaches the
     # two-term expansion; check the gap shrinks relative to n
     rho = diag_state([0.5, 0.5])
     sigma = diag_state([0.25, 0.75])
     eps = 0.2
+    d = relative_entropy(rho, sigma).value
+    v = relative_entropy_variance(rho, sigma)
     gaps = []
     for n in (2, 4, 6, 8):
         pn = np.ones(1)
@@ -358,7 +352,7 @@ def test_second_order_tracks_hypothesis_testing_iid():
         rn = diag_state(pn, "N")
         sn = diag_state(qn, "N")
         exact = hypothesis_testing_relative_entropy(rn, sn, eps).value
-        approx = second_order_rate(rho, sigma, n, eps)
+        approx = n * d + math.sqrt(n * v) * norm.ppf(eps)
         gaps.append(abs(exact - approx) / n)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 0.28

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qredist
@@ -41,3 +44,31 @@ def test_modules_use_their_imports():
             unused[f"{path.parent.name}/{path.name}"] = names
     assert unused == {}
 
+
+def _foreign_imports(source: str) -> list[str]:
+    """Top-level modules imported anywhere in a module, function bodies included,
+    other than the standard library, the package itself and numpy."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - set(sys.stdlib_module_names) - {"qredist", "numpy"})
+
+
+def test_package_imports_only_numpy():
+    package = Path(qredist.__file__).parent
+    foreign = {path.name: names for path in sorted(package.glob("*.py"))
+               if (names := _foreign_imports(path.read_text()))}
+    assert foreign == {}
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(qredist.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, qredist; print(qredist.__file__); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out == [qredist.__file__, "[]"]

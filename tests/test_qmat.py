@@ -12,7 +12,6 @@ from qredist.qmat import (
     RegisterError,
     RegisterSystem,
     StateVector,
-    apply_channel,
     apply_subsystem_matrix,
     fidelity,
     marginal_matrix,
@@ -29,14 +28,9 @@ from qredist.qmat import (
     trace_norm_distance,
     vector_marginal,
 )
-from qredist.sampling import (
-    haar_vector,
-    random_channel,
-    random_density,
-    random_isometry,
-    random_pure_state,
-    random_unitary,
-)
+from qredist.sampling import haar_vector, random_density, random_pure_state, random_unitary
+
+from channel_helpers import apply_channel, random_channel, random_isometry
 
 
 def ghz(labels=("R", "B", "C")):
