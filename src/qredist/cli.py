@@ -132,9 +132,13 @@ def _pure_input(args: argparse.Namespace) -> StateVector:
     """The pure state from exactly one of a state file or --random-qubits."""
     if (args.state is None) == (args.random_qubits is None):
         raise InputError("provide exactly one of a state file or --random-qubits")
-    if args.state is not None:
-        return _load_vector(args.state)
     budget = _budget(args)
+    if args.state is not None:
+        psi = _load_vector(args.state)
+        if args.budget is not None and psi.system.dim > budget:
+            raise BudgetExceeded(f"{args.state}: {psi.system.dim} amplitudes, "
+                                 f"over the budget of {budget}")
+        return psi
     # 2^N > budget, tested without forming 2^N for a huge N
     if args.random_qubits >= max(budget, 0).bit_length():
         raise BudgetExceeded(f"{args.random_qubits} random qubits need 2^{args.random_qubits} "

@@ -17,15 +17,10 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+import numpy as np
+
 from .coherence import dephase
-from .entropy import (
-    conditional_entropy,
-    conditional_mutual_information,
-    mutual_information,
-    relative_entropy,
-    relative_entropy_of_coherence,
-    von_neumann_entropy,
-)
+from .entropy import entropy_of_probs, relative_entropy, von_neumann_entropy
 from .protocols import QsrInstance, check_free_sigma_c, qsr_parameters
 from .qmat import (
     DensityOperator,
@@ -33,7 +28,6 @@ from .qmat import (
     RegisterError,
     RegisterSystem,
     StateVector,
-    partial_trace,
     permute_vector,
     relabel_vector,
     tensor,
@@ -120,37 +114,126 @@ def _require(psi: StateVector, labels: set[str]) -> None:
         raise RegisterError(f"state is missing registers {sorted(missing)}")
 
 
+class _PureMarginals:
+    """Marginals of one pure state and their entropies, each taken once.
+
+    A pure state's marginals on X and on its complement share their nonzero
+    spectrum, so S(X) is read from whichever side has the smaller dimension;
+    an empty side gives 0.  Marginals are kept per label set, with their
+    registers in R, A, B, C order followed by any other register as stored.
+    """
+
+    def __init__(self, psi: StateVector):
+        self.psi = psi
+        order = [lab for lab in ("R", "A", "B", "C") if lab in psi.system.labels]
+        self._order = order + [lab for lab in psi.system.labels if lab not in order]
+        self._rho: dict[frozenset[str], DensityOperator] = {}
+        self._s: dict[frozenset[str], float] = {}
+        self._s_diag: dict[frozenset[str], float] = {}
+
+    def rho(self, *labels: str) -> DensityOperator:
+        key = frozenset(labels)
+        if key not in self._rho:
+            self._rho[key] = vector_marginal(self.psi, [l for l in self._order if l in key])
+        return self._rho[key]
+
+    def entropy(self, *labels: str) -> float:
+        """S(X), from the marginal on X or on its complement, whichever is smaller."""
+        key = frozenset(labels)
+        if key not in self._s:
+            rest = [l for l in self._order if l not in key]
+            sys_ = self.psi.system
+            side = labels if sys_.dim_of(labels) <= sys_.dim_of(rest) else rest
+            self._s[key] = von_neumann_entropy(self.rho(*side)) if side else 0.0
+        return self._s[key]
+
+    def diagonal_entropy(self, *labels: str) -> float:
+        """S of the dephased marginal on X: the entropy of its diagonal."""
+        key = frozenset(labels)
+        if key not in self._s_diag:
+            self._s_diag[key] = entropy_of_probs(np.diagonal(self.rho(*labels).matrix).real)
+        return self._s_diag[key]
+
+    def cmi(self) -> float:
+        """I(C:R|B) = S(BC) + S(RB) - S(RBC) - S(B), guarded by strong subadditivity."""
+        _require(self.psi, {"R", "B", "C"})
+        v = (self.entropy("B", "C") + self.entropy("R", "B")
+             - self.entropy("R", "B", "C") - self.entropy("B"))
+        if v < -1e-9:
+            raise ArithmeticError(f"conditional mutual information {v} violates strong subadditivity")
+        return v
+
+    def standard_rates(self) -> tuple[float, float]:
+        q = 0.5 * self.cmi()
+        return q, self.entropy("B", "C") - self.entropy("B")
+
+    def sum_bound(self) -> float:
+        _require(self.psi, {"B", "C"})
+        return self.diagonal_entropy("B", "C") - self.diagonal_entropy("B")
+
+    def coherence(self, *labels: str) -> float:
+        """Relative entropy of coherence of the marginal on X."""
+        return self.diagonal_entropy(*labels) - self.entropy(*labels)
+
+    def free_sigma(self, sigma_c: DensityOperator | None) -> DensityOperator:
+        if sigma_c is None:
+            return dephase(self.rho("C"))
+        check_free_sigma_c(sigma_c, self.psi.system.dim_of(["C"]))
+        return sigma_c
+
+    def rate_forms(self, sigma_c: DensityOperator | None) -> tuple[float, float, float]:
+        cmi = self.cmi()
+        rho_bc, rho_b = self.rho("B", "C"), self.rho("B")
+        form_entropy = cmi + self.coherence("B", "C") - self.coherence("B")
+        deph_bc, deph_b = dephase(rho_bc), dephase(rho_b)
+        form_relent = (
+            cmi
+            + relative_entropy(rho_bc, deph_bc).value
+            - relative_entropy(rho_b, deph_b).value
+        )
+
+        # dense on purpose: the oracle that would catch a wrong entropy above
+        sigma = self.free_sigma(sigma_c)
+        d1 = relative_entropy(self.rho("R", "B", "C"), tensor(self.rho("R", "B"), sigma))
+        d2 = relative_entropy(deph_bc, tensor(deph_b, sigma))
+        if not (d1.finite and d2.finite):
+            raise InvalidState("reference state sigma_c does not support the C marginal")
+        form_product = d1.value - d2.value
+        return form_entropy, form_relent, form_product
+
+    def incoherent_rate(self, sigma_c: DensityOperator | None, tol: float = FORM_TOL) -> float:
+        a, b, c = self.rate_forms(sigma_c)
+        spread = max(a, b, c) - min(a, b, c)
+        if spread > tol:
+            raise ArithmeticError(
+                f"rate forms disagree beyond {tol}: {a}, {b}, {c}"
+            )
+        return 0.5 * a
+
+    def schumacher_rate(self) -> float:
+        return 0.5 * (self.entropy("C") + self.diagonal_entropy("C"))
+
+    def splitting_rate(self) -> float:
+        _require(self.psi, {"R", "C"})
+        mi = self.entropy("C") + self.entropy("R") - self.entropy("R", "C")
+        return 0.5 * (mi + self.coherence("C"))
+
+
 # ---------------------------------------------------------------------------
 # unrestricted rates
 
 def standard_qsr_rates(psi: StateVector) -> tuple[float, float]:
     """(Q, Q + E): half the conditional mutual information, and S(C|B)."""
-    _require(psi, {"R", "B", "C"})
-    rho = vector_marginal(psi, ["R", "B", "C"])
-    q = 0.5 * conditional_mutual_information(rho, "C", "R", "B")
-    q_plus_e = conditional_entropy(rho, "C", "B")
-    return q, q_plus_e
+    return _PureMarginals(psi).standard_rates()
 
 
 def slepian_wolf_sum_bound(psi: StateVector) -> float:
     """Total resource lower bound S of the dephased (B, C) state given dephased B."""
-    _require(psi, {"B", "C"})
-    rho_bc = vector_marginal(psi, ["B", "C"])
-    return (
-        von_neumann_entropy(dephase(rho_bc))
-        - von_neumann_entropy(dephase(partial_trace(rho_bc, ["B"])))
-    )
+    return _PureMarginals(psi).sum_bound()
 
 
 # ---------------------------------------------------------------------------
 # rates with a free (incoherent) decoder
-
-def _free_sigma(psi: StateVector, sigma_c: DensityOperator | None) -> DensityOperator:
-    if sigma_c is None:
-        return dephase(vector_marginal(psi, ["C"]))
-    check_free_sigma_c(sigma_c, psi.system.dim_of(["C"]))
-    return sigma_c
-
 
 def incoherent_rate_forms(
     psi: StateVector, sigma_c: DensityOperator | None = None
@@ -162,31 +245,7 @@ def incoherent_rate_forms(
     against a product with a free reference state; the three agree exactly
     in closed form, so disagreement flags a numerical defect.
     """
-    _require(psi, {"R", "B", "C"})
-    rho_rbc = vector_marginal(psi, ["R", "B", "C"])
-    rho_bc = partial_trace(rho_rbc, ["B", "C"])
-    rho_b = partial_trace(rho_rbc, ["B"])
-    cmi = conditional_mutual_information(rho_rbc, "R", "C", "B")
-
-    form_entropy = (
-        cmi
-        + relative_entropy_of_coherence(rho_bc)
-        - relative_entropy_of_coherence(rho_b)
-    )
-    form_relent = (
-        cmi
-        + relative_entropy(rho_bc, dephase(rho_bc)).value
-        - relative_entropy(rho_b, dephase(rho_b)).value
-    )
-
-    sigma = _free_sigma(psi, sigma_c)
-    rho_rb = partial_trace(rho_rbc, ["R", "B"])
-    d1 = relative_entropy(rho_rbc, tensor(rho_rb, sigma))
-    d2 = relative_entropy(dephase(rho_bc), tensor(dephase(rho_b), sigma))
-    if not (d1.finite and d2.finite):
-        raise InvalidState("reference state sigma_c does not support the C marginal")
-    form_product = d1.value - d2.value
-    return form_entropy, form_relent, form_product
+    return _PureMarginals(psi).rate_forms(sigma_c)
 
 
 def incoherent_qsr_rate(
@@ -199,13 +258,7 @@ def incoherent_qsr_rate(
     Half of {I(C:R|B) plus the local-coherence gap between the (B, C) and B
     marginals}; all three computation routes must agree to ``tol``.
     """
-    a, b, c = incoherent_rate_forms(psi, sigma_c)
-    spread = max(a, b, c) - min(a, b, c)
-    if spread > tol:
-        raise ArithmeticError(
-            f"rate forms disagree beyond {tol}: {a}, {b}, {c}"
-        )
-    return 0.5 * a
+    return _PureMarginals(psi).incoherent_rate(sigma_c, tol)
 
 
 def incoherent_schumacher_rate(rho_c: DensityOperator) -> float:
@@ -217,12 +270,7 @@ def incoherent_schumacher_rate(rho_c: DensityOperator) -> float:
 
 def incoherent_splitting_rate(psi: StateVector) -> float:
     """Qubit rate for handing C to a receiver with no prior side information."""
-    _require(psi, {"R", "C"})
-    rho_rc = vector_marginal(psi, ["R", "C"])
-    return 0.5 * (
-        mutual_information(rho_rc, "C", "R")
-        + relative_entropy_of_coherence(partial_trace(rho_rc, ["C"]))
-    )
+    return _PureMarginals(psi).splitting_rate()
 
 
 def classical_rate_incoherent(
@@ -257,15 +305,16 @@ def rate_report(
 ) -> RateReport:
     """Evaluate every closed-form rate on one (R, A, B, C) pure state, whatever
     order it stores its registers in."""
-    q, q_plus_e = standard_qsr_rates(psi)
-    q_inc = incoherent_qsr_rate(psi, sigma_c)
+    marginals = _PureMarginals(psi)
+    q, q_plus_e = marginals.standard_rates()
+    q_inc = marginals.incoherent_rate(sigma_c)
     return RateReport(
         q_min_std=q,
         q_plus_e_min_std=q_plus_e,
-        sum_bound_slepian_wolf=slepian_wolf_sum_bound(psi),
+        sum_bound_slepian_wolf=marginals.sum_bound(),
         q_min_incoherent=q_inc,
-        q_min_schumacher_incoherent=incoherent_schumacher_rate(vector_marginal(psi, ["C"])),
-        q_min_splitting_incoherent=incoherent_splitting_rate(psi),
+        q_min_schumacher_incoherent=marginals.schumacher_rate(),
+        q_min_splitting_incoherent=marginals.splitting_rate(),
         classical_rate_incoherent=2.0 * q_inc,
         details={"registers": {lab: d for lab, d in psi.system.registers}},
     )

@@ -350,6 +350,19 @@ def test_random_qubits_respect_budget(capsys, command):
     assert "2^14 amplitudes" in err
 
 
+@pytest.mark.parametrize("command", (["rates"], ["sweep", "copies", "--max-copies", "1", "--state"]))
+def test_state_files_respect_budget(capsys, tmp_path, command):
+    # a loaded state over an explicit --budget is refused before any rate is computed
+    path = str(tmp_path / "rabc.json")
+    save_state(path, StateVector(qmat.qubits("R", "A", "B", "C", "D", "E"),
+                                 np.full(64, 0.125, dtype=complex)))
+    code, out, err = run(capsys, [*command, path, "--budget", "16"])
+    assert (code, out) == (3, "")
+    assert "budget of 16" in err
+    code, out, _ = run(capsys, [*command, path, "--budget", "64"])
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("command", (["simulate", "convex-split"], ["sweep", "delta"]))
 def test_convex_split_respects_budget(capsys, command):
     # the default draws need splits above dimension 16 (128 for simulate, 64 at the sweep's 0.25)

@@ -6,9 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qredist import qmat
+from qredist import qmat, rates
+from qredist.cli import main
 from qredist.protocols import builtin_qsr_instances
-from qredist.coherence import NotFreeOperation
+from qredist.coherence import NotFreeOperation, dephase
+from qredist.entropy import (
+    conditional_entropy,
+    conditional_mutual_information,
+    mutual_information,
+    relative_entropy_of_coherence,
+    von_neumann_entropy,
+)
 from qredist.qmat import DensityOperator, DimensionMismatch, StateVector
 from qredist.rates import (
     COBIT_UNITS,
@@ -26,6 +34,7 @@ from qredist.rates import (
     tensor_power_state,
 )
 from qredist.sampling import random_pure_state
+from qredist.stateio import save_state
 
 
 def ghz(labels=("R", "B", "C")):
@@ -204,15 +213,86 @@ def test_rate_report_rejects_inconsistent_rates():
         )
 
 
+def dense_rates(psi):
+    """The seven rates from the explicit marginals on R, B, C, with no complement rule."""
+    rho_rbc = qmat.vector_marginal(psi, ["R", "B", "C"])
+    rho_bc = qmat.vector_marginal(psi, ["B", "C"])
+    rho_b = qmat.vector_marginal(psi, ["B"])
+    rho_c = qmat.vector_marginal(psi, ["C"])
+    q = 0.5 * conditional_mutual_information(rho_rbc, "C", "R", "B")
+    q_plus_e = conditional_entropy(rho_rbc, "C", "B")
+    gap = relative_entropy_of_coherence(rho_bc) - relative_entropy_of_coherence(rho_b)
+    q_inc = q + 0.5 * gap
+    return {
+        "q_min_std": q,
+        "q_plus_e_min_std": q_plus_e,
+        # S(dephased BC) - S(dephased B) = R_c(BC) - R_c(B) + S(C|B)
+        "sum_bound_slepian_wolf": gap + q_plus_e,
+        "q_min_incoherent": q_inc,
+        "q_min_schumacher_incoherent": 0.5 * (von_neumann_entropy(rho_c)
+                                              + von_neumann_entropy(dephase(rho_c))),
+        "q_min_splitting_incoherent": 0.5 * (
+            mutual_information(qmat.vector_marginal(psi, ["R", "C"]), "C", "R")
+            + relative_entropy_of_coherence(rho_c)
+        ),
+        "classical_rate_incoherent": 2.0 * q_inc,
+    }
+
+
 def test_rate_report_accepts_any_register_order():
-    psi = random_pure_state(qmat.qubits("R", "A", "B", "C"), np.random.default_rng(3))
-    canonical = rate_report(psi).entries()
-    orders = list(itertools.permutations(["R", "A", "B", "C"]))
-    assert len(orders) == 24
-    for order in orders:
-        got = rate_report(qmat.permute_vector(psi, order)).entries()
-        for name, val in canonical.items():
-            assert got[name] == pytest.approx(val, abs=1e-12), (order, name)
+    # every report matches the dense marginals, however the registers are stored,
+    # including an empty complement of R, B, C (no A), a trivial A, unequal
+    # dimensions and a fifth register D in every complement
+    rng = np.random.default_rng(3)
+    states = [
+        random_pure_state(qmat.qubits("R", "A", "B", "C"), rng),
+        random_pure_state(qmat.system(("R", 2), ("B", 3), ("C", 2)), rng),
+        random_pure_state(qmat.system(("R", 2), ("A", 1), ("B", 3), ("C", 2)), rng),
+        random_pure_state(qmat.system(("C", 3), ("R", 5), ("A", 2), ("B", 3)), rng),
+        random_pure_state(qmat.system(("R", 2), ("D", 3), ("A", 2), ("B", 2), ("C", 2)), rng),
+    ]
+    for psi in states:
+        want = dense_rates(psi)
+        orders = list(itertools.permutations(psi.system.labels))
+        assert len(orders) == math.factorial(len(psi.system.labels))
+        for order in orders:
+            got = rate_report(qmat.permute_vector(psi, order)).entries()
+            for name, val in want.items():
+                assert got[name] == pytest.approx(val, abs=1e-12), (psi.system, order, name)
+
+
+def test_rate_report_decomposes_rbc_at_most_twice(monkeypatch):
+    # S(RBC) comes from the 4 x 4 marginal on A; only the dense product form
+    # (the eigh of rho_RB x sigma and the eigvalsh of rho_RBC) works at d_RBC
+    dims_seen = []
+    for name in ("eigvalsh", "eigh"):
+        def counted(a, *args, _kernel=getattr(np.linalg, name), **kwargs):
+            dims_seen.append(np.shape(a)[-1])
+            return _kernel(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    psi = random_rabc(11, dims=(4, 4, 4, 4))
+    rate_report(psi)
+    assert 0 < dims_seen.count(64) <= 2, dims_seen
+
+
+@pytest.mark.parametrize("labels", [("R", "B", "C"), ("R", "B"), ("B", "C"), ("B",)])
+def test_dense_route_catches_a_wrong_entropy(monkeypatch, tmp_path, capsys, labels):
+    # a memoized entropy that is off by 1e-6 must not reach a report
+    entropy = rates._PureMarginals.entropy
+
+    def skewed(self, *got):
+        return entropy(self, *got) + (1e-6 if set(got) == set(labels) else 0.0)
+
+    monkeypatch.setattr(rates._PureMarginals, "entropy", skewed)
+    psi = random_rabc(5)
+    with pytest.raises(ArithmeticError):
+        incoherent_qsr_rate(psi)
+    with pytest.raises(ArithmeticError):
+        rate_report(psi)
+    path = str(tmp_path / "psi.json")
+    save_state(path, psi)
+    assert main(["rates", path]) == 4
+    assert capsys.readouterr().out == ""
 
 
 def test_rate_report_checks_sigma_c():
