@@ -325,8 +325,8 @@ def random_split_instance(
     """
     from .sampling import random_density
 
-    if k_cap < 0.0:
-        raise ValueError(f"cap must be nonnegative, got {k_cap}")
+    if not 0.0 <= k_cap < math.inf:
+        raise ValueError(f"k_cap must be finite and nonnegative, got {k_cap}")
     sys_pq = qmat.system(("P", dim_p), ("Q", dim_q))
     corr = random_density(sys_pq, rng)
     rho_p = partial_trace(corr, ["P"])
@@ -340,6 +340,54 @@ def random_split_instance(
     t = (2.0 ** k_cap - 1.0) / (2.0 ** k0.value - 1.0)
     mixed = DensityOperator(sys_pq, (1.0 - t) * prod.matrix + t * corr.matrix)
     return mixed, sigma_q
+
+
+def _spin_block_fidelity(rotated: np.ndarray, root_p: np.ndarray, s: np.ndarray, n: int) -> float:
+    """F(tau, rho_P x sigma^{xn}) for a qubit Q, from tau's spin-j blocks.
+
+    ``rotated`` is the joint state in (P, Q) order in the eigenbasis of
+    rho_P x sigma, ``root_p`` holds the roots of rho_P's eigenvalues and
+    ``s`` sigma's two eigenvalues, both positive.  With S = diag(s) and
+    Y = (1 x S)^{-1/2} rotated (1 x S)^{-1/2}, tau = Sigma^{1/2} B Sigma^{1/2}
+    with Sigma = 1 x S^{xn} and B = (1/n) sum_ab Y_ab x E_ab, where
+    E_00 = n/2 + J_z, E_11 = n/2 - J_z, E_01 = J_+ and E_10 = J_- are
+    collective.  By Schur-Weyl duality tau is the direct sum over the spins j
+    of n qubits of tau_j x 1_{mult_j}, and S^{xn} acts on spin j as
+    D_j = diag(s_0^{n/2+m} s_1^{n/2-m}), so F = sum_j mult_j Tr sqrt(A_j)
+    with A_j = (root_p x D_j^{1/2}) tau_j (root_p x D_j^{1/2}).  The blocks get
+    the checks a DensityOperator gives tau: Hermitian, each tau_j positive
+    semidefinite, and sum_j mult_j Tr tau_j = 1.
+    """
+    d_p = root_p.shape[0]
+    scale = np.sqrt(np.tile(s, d_p))
+    y = rotated / np.outer(scale, scale)
+    # every tau_j is a congruence of Y by real weights that are symmetric
+    # under a <-> b, so the blocks are Hermitian exactly when Y is
+    if not np.max(np.abs(y - y.conj().T)) <= qmat.HERM_TOL:
+        raise InvalidState("spin blocks are not Hermitian within tolerance")
+    y = y.reshape(d_p, 2, d_p, 2).transpose(1, 3, 0, 2)  # y[a, b] is the d_P x d_P block Y_ab
+    f = 0.0
+    trace = 0.0
+    for k in range(n // 2 + 1):  # spin j = n/2 - k, basis m = j, j - 1, ..., -j
+        dim = n - 2 * k + 1
+        i = np.arange(dim)
+        zeros = n - k - i  # slots in sigma's first eigenvector: n/2 + m
+        blk = np.zeros((d_p, dim, d_p, dim), dtype=complex)
+        blk[:, i, :, i] = zeros[:, None, None] * y[0, 0] + (n - zeros)[:, None, None] * y[1, 1]
+        ladder = np.sqrt(i[1:] * (dim - i[1:]))[:, None, None]  # <m + 1| J_+ |m>
+        blk[:, i[:-1], :, i[1:]] = ladder * y[0, 1]
+        blk[:, i[1:], :, i[:-1]] = ladder * y[1, 0]
+        root_d = np.sqrt(s[0] ** zeros * s[1] ** (n - zeros))
+        tau = (blk * (root_d[None, :, None, None] * root_d / n)).reshape(d_p * dim, d_p * dim)
+        qmat._check_psd(tau)
+        mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+        trace += mult * float(tau.trace().real)
+        r = (root_p[:, None] * root_d).reshape(-1)
+        evals = np.linalg.eigvalsh(tau * np.outer(r, r))
+        f += mult * float(np.sum(np.sqrt(np.clip(evals, 0.0, None))))
+    if not abs(trace - 1.0) <= qmat.NORM_TOL:
+        raise InvalidState(f"spin blocks carry trace {trace}, not 1 within {qmat.NORM_TOL}")
+    return f
 
 
 @dataclass(frozen=True)
@@ -362,6 +410,9 @@ def convex_split_bound_check(
     k is the unsmoothed max-relative entropy of the joint state against
     marginal x sigma; the guarantee F^2 >= 1 - (sqrt(delta) + 2 eps)^2 then
     holds with eps = 0.  A violation raises, since the bound is proven.
+    For a qubit sigma of full rank the fidelity comes from the split state's
+    spin-j blocks of size d_P (2j + 1); other inputs build the dense state.
+    The budget caps the dense dimension d_P d_Q^n on both routes.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -383,16 +434,20 @@ def convex_split_bound_check(
     # Work in the eigenbasis of the target rho_P x sigma^{xn}: the split state
     # commutes with U_P x U_sigma^{xn}, so it is built from the rotated joint
     # state and the diagonal sigma, and the target's root is a diagonal.
+    # The spin-block route needs sigma^{-1/2}, so a rank-deficient sigma stays dense.
     lam_p, u_p = np.linalg.eigh(rho_p.matrix)
     lam_q, u_q = np.linalg.eigh(sigma_q.matrix)
     u = np.kron(u_p, u_q)
     rotated = u.conj().T @ rho_pq.matrix @ u
-    tau = DensityOperator(sys_, _split_matrix(rotated, np.diag(lam_q), n))
     root = np.sqrt(np.clip(lam_p, 0.0, None))
-    root_q = np.sqrt(np.clip(lam_q, 0.0, None))
-    for _ in range(n):
-        root = np.kron(root, root_q)
-    f = fidelity_matrices(tau.matrix, root)
+    if lam_q.shape[0] == 2 and lam_q[0] > qmat.EIG_FLOOR:
+        f = _spin_block_fidelity(rotated, root, lam_q, n)
+    else:
+        tau = DensityOperator(sys_, _split_matrix(rotated, np.diag(lam_q), n))
+        root_q = np.sqrt(np.clip(lam_q, 0.0, None))
+        for _ in range(n):
+            root = np.kron(root, root_q)
+        f = fidelity_matrices(tau.matrix, root)
     f = min(max(f, 0.0), 1.0)
     f2 = f * f
     bound = 1.0 - (math.sqrt(delta) + 2.0 * eps) ** 2

@@ -371,6 +371,15 @@ def test_convex_split_respects_budget(capsys, command):
     assert "budget of 16" in err
 
 
+@pytest.mark.parametrize("command", (["simulate", "convex-split"], ["sweep", "delta"]))
+def test_convex_split_rejects_bad_cap(capsys, command):
+    # a NaN cap used to reach the split state and fail there; an infinite one drew uncapped
+    for cap in ("nan", "inf", "-0.5"):
+        code, out, err = run(capsys, [*command, "--k-cap", cap])
+        assert (code, out) == (2, "")
+        assert "k_cap" in err
+
+
 def test_sweep_delta_monotone(capsys, files):
     code, out, _ = run(capsys, ["sweep", "delta", "--format", "csv"])
     assert code == 0

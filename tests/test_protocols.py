@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qredist import qmat
+from qredist import protocols, qmat
 from qredist.entropy import max_relative_entropy
 from qredist.protocols import (
     MAX_AMPLITUDES,
@@ -27,6 +27,7 @@ from qredist.protocols import (
 )
 from qredist.qmat import (
     DensityOperator,
+    InvalidState,
     RegisterError,
     fidelity_matrices,
     partial_trace,
@@ -170,6 +171,13 @@ def test_random_split_instance_caps_k():
     assert np.allclose(partial_trace(rho, ["Q"]).matrix, sigma.matrix, atol=1e-12)
 
 
+def test_random_split_instance_rejects_bad_cap():
+    # a NaN cap used to slip past a "< 0" test and fail later on a NaN mixing weight
+    for cap in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValueError, match="k_cap must be finite and nonnegative"):
+            random_split_instance(np.random.default_rng(0), cap)
+
+
 def test_convex_split_bound_check():
     rng = np.random.default_rng(5)
     rho, sigma = random_split_instance(rng, k_cap=0.3)
@@ -232,6 +240,77 @@ def test_convex_split_fidelity_matches_dense_oracle():
     for joint, sig, delta, tol in cases:
         chk = convex_split_bound_check(joint, sig, 0.0, delta)
         assert abs(chk.fidelity_squared - _dense_split_fidelity_squared(joint, sig, chk.n)) <= tol
+
+
+def _forced_slot_count(rho, sigma, n):
+    """A delta at which convex_split_bound_check picks n slots (n >= 2, k < log2(n - 1/2))."""
+    k = max_relative_entropy(rho, tensor(partial_trace(rho, ["P"]), sigma)).value
+    return 2.0 ** k / (n - 0.5)
+
+
+def test_spin_block_fidelity_matches_dense_oracle():
+    # full-rank qubit sigma takes the spin-block route; the dense oracle costs
+    # about 0.9 s at dimension 1024 and 8 s at 2048, so d_P = 4 stops at n = 8
+    for d_p, n_max in ((2, 9), (4, 8)):
+        for n in range(2, n_max + 1):
+            for seed in range(1 if n >= 8 else 3):
+                rho, sigma = random_split_instance(np.random.default_rng(900 + seed), 0.5, dim_p=d_p)
+                chk = convex_split_bound_check(rho, sigma, 0.0, _forced_slot_count(rho, sigma, n))
+                assert chk.n == n
+                assert type(chk.fidelity_squared) is float
+                dense = _dense_split_fidelity_squared(rho, sigma, n)
+                assert abs(chk.fidelity_squared - dense) <= 1e-10, (d_p, n, seed)
+
+
+def _record_decompositions(monkeypatch):
+    dims_seen = []
+    for name in ("eigvalsh", "eigh", "cholesky"):
+        def counted(a, *args, _kernel=getattr(np.linalg, name), **kwargs):
+            dims_seen.append(np.shape(a)[-1])
+            return _kernel(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return dims_seen
+
+
+def test_qubit_split_check_never_decomposes_the_split_state(monkeypatch):
+    rho, sigma = random_split_instance(np.random.default_rng(40), 0.15)
+    dims_seen = _record_decompositions(monkeypatch)
+    chk = convex_split_bound_check(rho, sigma, 0.0, 0.125)
+    assert chk.n == 9
+    assert dims_seen and max(dims_seen) <= 2 * (9 + 1), dims_seen
+
+
+def test_split_check_falls_back_to_dense(monkeypatch):
+    # d_Q = 3, and a qubit sigma of rank one, keep the dense route at d_P d_Q^n
+    rng = np.random.default_rng(14)
+    joint_q3 = random_density(qmat.system(("P", 2), ("Q", 3)), rng)
+    pure = DensityOperator(qmat.system(("Q", 2)), np.diag([1.0, 0.0]))
+    product = tensor(random_density(qmat.system(("P", 2)), rng), pure)
+    for joint, sig, delta in ((joint_q3, partial_trace(joint_q3, ["Q"]), 0.9), (product, pure, 0.3)):
+        dims_seen = _record_decompositions(monkeypatch)
+        chk = convex_split_bound_check(joint, sig, 0.0, delta)
+        monkeypatch.undo()
+        assert 2 * sig.dim ** chk.n in dims_seen, dims_seen
+    # the product input has k = 0, so n = ceil(1 / 0.3) and the split state is the target
+    assert chk.n == 4 and chk.fidelity_squared == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spin_blocks_are_validated():
+    # the blocks get the checks a DensityOperator would give the dense split state
+    s = np.array([0.4, 0.6])
+    root_p = np.sqrt(np.array([0.3, 0.7]))
+    product = np.kron(np.diag([0.3, 0.7]), np.diag(s)).astype(complex)
+    assert protocols._spin_block_fidelity(product, root_p, s, 2) == pytest.approx(1.0, abs=1e-12)
+    negative = product.copy()
+    negative[0, 0], negative[1, 1] = -0.12, 0.36  # Hermitian, trace 1, not PSD
+    with pytest.raises(InvalidState, match="negative eigenvalue"):
+        protocols._spin_block_fidelity(negative, root_p, s, 2)
+    with pytest.raises(InvalidState, match="trace"):
+        protocols._spin_block_fidelity(2.0 * product, root_p, s, 2)
+    skewed = product.copy()
+    skewed[0, 3] = 1e-6  # its mirror entry stays 0
+    with pytest.raises(InvalidState, match="Hermitian"):
+        protocols._spin_block_fidelity(skewed, root_p, s, 2)
 
 
 def test_convex_split_fidelity_improves_with_delta():
