@@ -3,8 +3,9 @@
 Relative-entropy-type quantities return an :class:`EntropicValue` whose
 ``finite`` flag encodes the support-violation infinity.  The
 hypothesis-testing quantity routes commuting pairs through an exact
-classical Neyman-Pearson solver and non-commuting pairs through a
-bisection over the threshold-test family.
+classical Neyman-Pearson solver and non-commuting pairs through a search
+over the threshold-test family: a binary search over the breakpoints of the
+pencil (rho, sigma), then an Illinois iteration between two of them.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 def _spectral_weights(vecs: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Diagonal of V^dag M V as Re(conj(M V) * V), summed in the buffer of M V: no extra
-    d x d temporary, and cheap at the small d of the hypothesis-test bisection."""
+    d x d temporary, and cheap at the small d of the hypothesis-test threshold search."""
     mv = mat @ vecs
     np.conjugate(mv, out=mv)
     mv *= vecs
@@ -175,16 +176,47 @@ def _classical_np_test(p: np.ndarray, q: np.ndarray, eps: float):
     return beta, weights
 
 
-def _threshold_test(rho_mat: np.ndarray, sigma_mat: np.ndarray, eps: float):
-    """Quantum Neyman-Pearson optimum via bisection over mu.
+def _pencil_breakpoints(rho_mat: np.ndarray, sigma_mat: np.ndarray, evs_s: np.ndarray,
+                        vecs_s: np.ndarray) -> np.ndarray:
+    """Ascending finite breakpoints mu of the pencil (rho, sigma), where rho - mu sigma loses
+    rank on the joint support of rho and sigma.
 
-    The optimal test is the projector onto the positive part of
-    rho - mu sigma plus a fractional weight on its zero eigenspace, with mu
-    at the jump of the captured rho-mass across 1 - eps.  Returns
-    (beta or None for an infinity, test operator).
+    For a nonsingular sigma these are the eigenvalues of Lambda^{-1/2} V^dag rho V Lambda^{-1/2}
+    from sigma's eigensystem.  Otherwise they are theta / (1 - theta) for the eigenvalues
+    theta < 1 of tau^{-1/2} rho tau^{-1/2} on the support of tau = rho + sigma: theta = 1 is
+    a direction in the kernel of sigma (mu infinite), and a kernel common to rho and sigma
+    drops out with the support.
+    """
+    if evs_s[0] > EIG_FLOOR:
+        w = 1.0 / np.sqrt(evs_s)
+        return np.linalg.eigvalsh(w[:, None] * (vecs_s.conj().T @ rho_mat @ vecs_s) * w)
+    evs_t, vecs_t = np.linalg.eigh(rho_mat + sigma_mat)
+    keep = evs_t > EIG_FLOOR
+    w = 1.0 / np.sqrt(evs_t[keep])
+    supp = vecs_t[:, keep]
+    theta = np.linalg.eigvalsh(w[:, None] * (supp.conj().T @ rho_mat @ supp) * w)
+    theta = theta[theta < 1.0]
+    return theta / (1.0 - theta)
+
+
+def _threshold_test(rho_mat: np.ndarray, sigma_mat: np.ndarray, eps: float):
+    """Quantum Neyman-Pearson optimum at the threshold mu where the captured rho-mass
+    c(mu) = Tr P+(rho - mu sigma) rho crosses 1 - eps.
+
+    The optimal test is the projector onto the positive part of rho - mu sigma plus a
+    fractional weight on its zero eigenspace.  c never increases with mu; it jumps only at
+    the breakpoints of the pencil (rho, sigma) and is smooth between them.  After a doubling
+    bracket, a binary search over the breakpoints inside it either finds mu on a jump (1 - eps
+    between the one-sided limits of c there) or leaves one smooth stretch, where an Illinois
+    (modified false-position) iteration finds mu, with a bisection step whenever the bracket
+    has not halved within three steps.  Returns (beta or None for an infinity, test operator).
     """
     d = rho_mat.shape[0]
     target = 1.0 - eps
+    tr_rho = float(np.trace(rho_mat).real)
+    if tr_rho < target:
+        # a subnormalized rho cannot pass 1 - eps: only the identity comes closest
+        return float(np.trace(sigma_mat).real), np.eye(d, dtype=complex)
 
     evs_s, vecs_s = np.linalg.eigh(sigma_mat)
     kernel = vecs_s[:, evs_s <= EIG_FLOOR]
@@ -200,28 +232,71 @@ def _threshold_test(rho_mat: np.ndarray, sigma_mat: np.ndarray, eps: float):
 
     def decompose(mu: float):
         evals, vecs = np.linalg.eigh(rho_mat - mu * sigma_mat)
-        pw = _spectral_weights(vecs, rho_mat)
-        return evals, vecs, pw
+        return evals, vecs, _spectral_weights(vecs, rho_mat)
 
-    def captured(mu: float) -> float:
-        evals, _, pw = decompose(mu)
-        return float(np.sum(pw[evals > 0]))
+    def excess(dec, tol: float = 0.0) -> float:
+        """c - (1 - eps), counting eigenvalues above tol as positive."""
+        return float(np.sum(dec[2][dec[0] > tol])) - target
 
-    lo, hi = 0.0, 1.0
-    while captured(hi) >= target:
+    # g_lo >= 0 > g_hi hold the excess at lo and hi, as limits from inside the bracket
+    lo, g_lo, lo_dec = 0.0, tr_rho - target, None
+    hi = 1.0
+    while True:
+        dec = decompose(hi)
+        g_hi = excess(dec)
+        if g_hi < 0.0:
+            break
+        lo, g_lo, lo_dec = hi, g_hi, dec
         hi *= 2.0
         if hi > 2.0 ** 200:
-            raise InvalidState("threshold bisection failed to bracket the optimum")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if captured(mid) >= target:
-            lo = mid
+            raise InvalidState("threshold search failed to bracket the optimum")
+
+    jumps = _pencil_breakpoints(rho_mat, sigma_mat, evs_s, vecs_s)
+    jumps = jumps[(jumps > lo) & (jumps < hi)]
+    while jumps.size:
+        mid = jumps.size // 2
+        mu = float(jumps[mid])
+        dec = decompose(mu)
+        tol = 1e-11 * max(1.0, mu)
+        right, left = excess(dec, tol), excess(dec, -tol)
+        if right >= 0.0:
+            lo, g_lo, lo_dec = mu, right, dec
+            jumps = jumps[mid + 1:]
+        elif left < 0.0:
+            hi, g_hi = mu, left
+            jumps = jumps[:mid]
         else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
+            lo, hi, lo_dec = mu, mu, dec
             break
 
-    evals, vecs, pw = decompose(lo)
+    side, mark, since = 0, hi - lo, 0
+    for _ in range(120):
+        stop = 1e-14 * max(1.0, hi)
+        if hi - lo <= stop:
+            break
+        if since < 3:
+            # at least stop/2 inside: a root next to one end then closes the bracket at once
+            mu = lo + g_lo * (hi - lo) / (g_lo - g_hi)
+            mu = min(max(mu, lo + 0.5 * stop), hi - 0.5 * stop)
+        else:
+            mu = 0.5 * (lo + hi)
+        dec = decompose(mu)
+        g = excess(dec)
+        if g >= 0.0:
+            lo, g_lo, lo_dec = mu, g, dec
+            if side > 0:
+                g_hi *= 0.5
+            side = 1
+        else:
+            hi, g_hi = mu, g
+            if side < 0:
+                g_lo *= 0.5
+            side = -1
+        since += 1
+        if hi - lo <= 0.5 * mark:
+            mark, since = hi - lo, 0
+
+    evals, vecs, pw = decompose(lo) if lo_dec is None else lo_dec
     scale = float(np.max(np.abs(evals))) if d else 1.0
     btol = max(1e-11, 4.0 * (hi - lo) * max(1.0, float(np.linalg.norm(sigma_mat, 2))))
     for _ in range(40):
@@ -241,6 +316,13 @@ def _threshold_test(rho_mat: np.ndarray, sigma_mat: np.ndarray, eps: float):
     return beta, pi
 
 
+def _test_value(beta: float | None) -> EntropicValue:
+    """-log2 beta in bits, infinite at beta = 0 (or None); beta = 1 reads +0.0, not -0.0."""
+    if beta is None or beta <= 1e-300:
+        return EntropicValue.infinite()
+    return EntropicValue(float(0.0 - np.log2(beta)))
+
+
 def optimal_hypothesis_test(
     rho: DensityOperator, sigma: DensityOperator, eps: float
 ) -> tuple[EntropicValue, np.ndarray]:
@@ -257,14 +339,9 @@ def optimal_hypothesis_test(
     if trace_norm(rm @ sm - sm @ rm) <= COMMUTE_TOL:
         p, q, joint = _joint_eigensystem(rm, sm)
         beta, weights = _classical_np_test(p, q, eps)
-        pi = (joint * weights) @ joint.conj().T
-        if beta <= 1e-300:
-            return EntropicValue.infinite(), pi
-        return EntropicValue(float(-np.log2(beta))), pi
+        return _test_value(beta), (joint * weights) @ joint.conj().T
     beta, pi = _threshold_test(rm, sm, eps)
-    if beta is None or beta <= 1e-300:
-        return EntropicValue.infinite(), pi
-    return EntropicValue(float(-np.log2(beta))), pi
+    return _test_value(beta), pi
 
 
 def hypothesis_testing_relative_entropy(
@@ -294,10 +371,7 @@ def restricted_hypothesis_test(
     sigma_d = dephase(sigma)
     d = rho.system.dim
     if rho.trace() < 1.0 - eps:
-        tr_sigma = sigma_d.trace()
-        value = (EntropicValue.infinite() if tr_sigma <= 1e-300
-                 else EntropicValue(float(-np.log2(tr_sigma))))
-        return value, np.eye(d, dtype=complex)
+        return _test_value(sigma_d.trace()), np.eye(d, dtype=complex)
     return optimal_hypothesis_test(rho_d, sigma_d, eps)
 
 

@@ -14,7 +14,7 @@ from .qmat import (
     DensityOperator,
     RegisterSystem,
     StateVector,
-    partial_trace,
+    marginal_matrix,
 )
 
 
@@ -36,8 +36,10 @@ def random_density(
     if not 1 <= r:
         raise ValueError(f"rank must be positive, got {r}")
     big = RegisterSystem(sys_.registers + (("_purifier", r),))
-    psi = random_pure_state(big, rng)
-    return partial_trace(psi.to_density(), sys_.labels)
+    amps = haar_vector(big.dim, rng)
+    # trace the purifier out of the raw outer product: the global state is never validated
+    marginal = marginal_matrix(np.outer(amps, amps.conj()), big.dims, range(len(sys_.dims)))
+    return DensityOperator(sys_, marginal)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

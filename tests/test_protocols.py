@@ -313,6 +313,15 @@ def test_spin_blocks_are_validated():
         protocols._spin_block_fidelity(skewed, root_p, s, 2)
 
 
+def test_broadcast_kron_is_bit_identical():
+    # the convex-split check rotates by the Kronecker product of two eigenbases
+    rng = np.random.default_rng(40)
+    for shape_a, shape_b in (((2, 2), (2, 2)), ((4, 4), (2, 2)), ((3, 3), (3, 3)), ((2, 3), (4, 5))):
+        a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+        b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+        assert np.array_equal(protocols._kron_matrices(a, b), np.kron(a, b))
+
+
 def test_convex_split_fidelity_improves_with_delta():
     rng = np.random.default_rng(6)
     rho, sigma = random_split_instance(rng, k_cap=0.2)
