@@ -466,13 +466,24 @@ def convex_split_bound_check(
 # ---------------------------------------------------------------------------
 # Uhlmann transfer isometry
 
+def _polar_isometry(y: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The map V on F's columns that maximizes |Tr(Y^dag F V^T)|, the overlap of the
+    vectors with amplitude matrices Y and F V^T: conj(U Q^dag) from the thin SVD
+    U S Q^dag of K = Y^dag F, an isometry whenever Y has at least as many columns
+    as F (when K is rank-deficient, its completion is arbitrary)."""
+    u, _, qh = np.linalg.svd(y.conj().T @ f, full_matrices=False)
+    return np.conj(u @ qh)
+
+
 def uhlmann_isometry(
     psi_ab: StateVector, psi_ac: StateVector, shared: Sequence[str] | None = None
 ) -> Isometry:
     """Isometry V on the non-shared part of psi_ac maximizing <psi_ab|(id x V)|psi_ac>.
 
     The achieved overlap equals the fidelity of the two marginals on the
-    shared registers.  Built from a thin SVD of the cross-overlap matrix.
+    shared registers.  Built from a thin SVD of the full cross-overlap
+    matrix, so V is also fixed off psi_ac's support; ``qsr_full`` takes the
+    same polar step on that support only.
     """
     if shared is None:
         shared = [lab for lab in psi_ab.system.labels if lab in set(psi_ac.system.labels)]
@@ -501,11 +512,8 @@ def uhlmann_isometry(
         raise DimensionMismatch(
             f"target side dimension {db} is smaller than source side {dc}"
         )
-    m = y.conj().T @ x
-    u, _, vh = np.linalg.svd(m, full_matrices=False)
-    v = np.conj(u @ vh)
     return Isometry(
-        psi_ac.system.subsystem(rest_c), psi_ab.system.subsystem(rest_b), v
+        psi_ac.system.subsystem(rest_c), psi_ab.system.subsystem(rest_b), _polar_isometry(y, x)
     )
 
 
@@ -801,6 +809,67 @@ def qsr_decoder_p1(
 # ---------------------------------------------------------------------------
 # the full one-shot redistribution protocol
 
+def _split_transfer(
+    psi: StateVector, sigma_pure: StateVector, n: int
+) -> tuple[StateVector, np.ndarray, int]:
+    """The convex-split purification mu, the vector xi = psi x |sigma>_{C_i L_i}^{xn}
+    moved toward it by the Uhlmann isometry on Alice's registers, in mu's register
+    order (R, B, C1..Cn, J, A, L1..Ln), and the dimension r of xi's support there.
+
+    Across (R, B, C1..Cn) | (A, C, L1..Ln), xi's amplitude matrix is X = X_psi x s^{xn},
+    with X_psi psi's (R, B) | (A, C) matrix and s sigma's purification as a C x L
+    matrix.  With W the right Schmidt vectors of X_psi, F = (X_psi W) x s^{xn} has
+    r = rank(psi) rank(sigma)^n orthogonal columns and X = F G^dag with G = W x 1 an
+    isometry, so only the polar step of Y^dag F (Y mu's amplitude matrix, d_Y x r)
+    matters: the transferred vector is F V^T.  Neither xi nor the d_Y x d_X
+    cross-overlap Y^dag X is formed, and V is validated on its r columns.
+    """
+    d_r, d_a, d_b, d_c = psi.system.dims
+    x_psi = psi.amplitudes.reshape(d_r, d_a, d_b, d_c).transpose(0, 2, 1, 3)
+    u, schmidt, _ = np.linalg.svd(x_psi.reshape(d_r * d_b, d_a * d_c), full_matrices=False)
+    weights = schmidt ** 2
+    rank = int(np.count_nonzero(weights > qmat.EIG_FLOOR))
+    dropped = float(np.sum(weights[rank:]))
+    if dropped > qmat.EIG_FLOOR:
+        raise InvalidState(f"psi drops Schmidt weight {dropped} across RB|AC, above the floor "
+                           f"{qmat.EIG_FLOOR}")
+    f = u[:, :rank] * schmidt[:rank]
+    s = sigma_pure.amplitudes.reshape(sigma_pure.system.dims)
+    for _ in range(n):
+        f = _kron_matrices(f, s)
+
+    # target purification of the convex-split mixture: the slot-1 term
+    # psi_{RABC_1} |0>_{L_1} x sigma on slots 2..n and its slot swaps, stacked along
+    # J; registers in the order (R, B, C1..Cn | J, A, L1..Ln), so mu's amplitude
+    # matrix across that cut is a plain reshape
+    d_l = sigma_pure.system.dims[-1]
+    slots = range(1, n + 1)
+    first, first_sys = _with_sigma_copies(
+        np.kron(psi.amplitudes, np.eye(d_l, dtype=complex)[0]),
+        qmat.relabel_system(psi.system, {"C": "C1"}).registers + (("L1", d_l),),
+        sigma_pure, slots[1:])
+    shared = ["R", "B"] + [f"C{i}" for i in slots]
+    first, first_sys = permute_vector_axes(
+        first, first_sys, shared + ["A"] + [f"L{i}" for i in slots])
+    mu_amps = np.stack(list(_slot_swaps(first.reshape(first_sys.dims),
+                                        [(1 + i, n + 2 + i) for i in slots])), axis=n + 2)
+    regs = first_sys.registers
+    mu = StateVector(RegisterSystem(regs[:n + 2] + (("J", n),) + regs[n + 2:]),
+                     mu_amps.reshape(-1) / math.sqrt(n))
+
+    r = f.shape[1]
+    d_rest = mu.system.dim // f.shape[0]
+    if r > d_rest:
+        raise DimensionMismatch(
+            f"at n={n} slots the split purification's side {d_rest} is smaller than "
+            f"the {r}-dimensional support it must receive; raise the slot count"
+        )
+    v = Isometry(qmat.system(("S", r)), mu.system.subsystem(mu.system.labels[n + 2:]),
+                 _polar_isometry(mu.amplitudes.reshape(-1, d_rest), f))
+    xi2_amps = (f @ v.matrix.T).reshape(-1)
+    return mu, xi2_amps, r
+
+
 def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTranscript:
     """Run the cobit-assisted redistribution protocol end to end.
 
@@ -811,6 +880,11 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
     slot with the sequential decoder.  The final state on (R, A, B, C1) is
     compared against the input; with un-overridden parameters the purified
     distance must respect 3 eps1 + eps2 + gamma.
+
+    The transfer is the Uhlmann polar step taken on the support of
+    psi x |sigma>^{xn} on Alice's registers (``_split_transfer``), so the
+    target side needs room for that support only: n = 1 runs whenever it
+    fits, and a slot count too small for it raises ``DimensionMismatch``.
     """
     params = qsr_parameters(instance)
     psi = instance.psi
@@ -831,35 +905,12 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
         clamped=(params.b_unclamped != b and instance.b_override is None),
     )
 
-    # shared entangled copies |sigma>_{C_i L_i}
-    xi_amps, xi_sys = _with_sigma_copies(psi.amplitudes, psi.system.registers, sigma_pure,
-                                         range(1, n + 1))
-    xi = StateVector(xi_sys, xi_amps)
     t.add(f"alice and bob share {n} purified copies of sigma_c",
           resources={"singlets_consumed": n})
     t.singlets_consumed = n
 
-    # target purification of the convex-split mixture: the slot-1 term
-    # psi_{RABC_1} |0>_{L_1} x sigma on slots 2..n and its slot swaps, stacked along J
-    slots = range(1, n + 1)
-    first, first_sys = _with_sigma_copies(
-        np.kron(psi.amplitudes, np.eye(d_l, dtype=complex)[0]),
-        qmat.relabel_system(psi.system, {"C": "C1"}).registers + (("L1", d_l),),
-        sigma_pure, slots[1:])
-    first, first_sys = permute_vector_axes(
-        first, first_sys, ["R", "A", "B"] + [f"L{i}" for i in slots] + [f"C{i}" for i in slots])
-    mu_amps = np.stack(list(_slot_swaps(first.reshape(first_sys.dims),
-                                        [(2 + i, 2 + n + i) for i in slots])))
-    mu = StateVector(RegisterSystem((("J", n),) + first_sys.registers),
-                     mu_amps.reshape(-1) / math.sqrt(n))
-
-    shared = ["R", "B"] + [f"C{i}" for i in range(1, n + 1)]
-    viso = uhlmann_isometry(mu, xi, shared=shared)
-    xi2_amps, xi2_sys = apply_subsystem_matrix(
-        xi.amplitudes, xi.system, viso.matrix,
-        list(viso.in_system.labels), viso.out_system.registers,
-    )
-    xi2_amps, xi2_sys = permute_vector_axes(xi2_amps, xi2_sys, list(mu.system.labels))
+    mu, xi2_amps, _ = _split_transfer(psi, sigma_pure, n)
+    xi2_sys = mu.system
     overlap = float(abs(np.vdot(mu.amplitudes, xi2_amps)))
     t.add("alice applies the transfer isometry toward the split purification",
           overlap=overlap)

@@ -304,6 +304,18 @@ def test_simulate_qsr_budget_and_override(capsys):
     assert json.loads(out)["details"]["overridden"] is True
 
 
+@pytest.mark.parametrize("name", ["uncorrelated-pure", "classical-side-info", "mismatched-prior"])
+def test_simulate_qsr_runs_one_slot(capsys, name):
+    # regression: a single slot used to exit 2, the dense transfer demanding room
+    # for all of Alice's registers rather than for the input's support
+    code, out, _ = run(capsys, ["simulate", "qsr", "--instance", name, "--n-override", "1",
+                                "--format", "json"])
+    assert code == 0
+    details = json.loads(out)["details"]
+    assert details["n"] == 1 and details["overridden"] is True
+    assert 0.0 <= details["purified_distance"] <= 1.0
+
+
 @pytest.mark.parametrize("flag, message", [("--n-override", "slot count must be positive"),
                                            ("--b-override", "block size 0 outside")])
 def test_simulate_qsr_rejects_zero_override(capsys, flag, message):

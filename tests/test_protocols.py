@@ -35,7 +35,7 @@ from qredist.qmat import (
     tensor,
     vector_marginal,
 )
-from qredist.sampling import random_density, random_pure_state
+from qredist.sampling import random_density, random_pure_state, random_unitary
 
 
 # --------------------------------------------------------------------------
@@ -446,6 +446,111 @@ def test_qsr_full_budget_guard():
     inst = builtin_qsr_instances()["uncorrelated-pure"]
     with pytest.raises(BudgetExceeded):
         qsr_full(inst, budget=64)
+
+
+def _dense_transfer(psi, sigma_pure, mu, n):
+    """The oracle route: xi = psi x |sigma>^{xn} as a vector, pushed through the
+    dense uhlmann_isometry onto mu, in mu's register order."""
+    xi_amps, xi_sys = protocols._with_sigma_copies(
+        psi.amplitudes, psi.system.registers, sigma_pure, range(1, n + 1))
+    shared = ["R", "B"] + [f"C{i}" for i in range(1, n + 1)]
+    viso = uhlmann_isometry(mu, qmat.StateVector(xi_sys, xi_amps), shared=shared)
+    amps, sys_ = qmat.apply_subsystem_matrix(
+        xi_amps, xi_sys, viso.matrix, list(viso.in_system.labels), viso.out_system.registers)
+    return qmat.permute_vector_axes(amps, sys_, list(mu.system.labels))[0]
+
+
+def _rotate_r(psi, u):
+    amps, sys_ = qmat.apply_subsystem_matrix(psi.amplitudes, psi.system, u, ["R"])
+    return qmat.StateVector(sys_, amps)
+
+
+def _schmidt_rank(psi):
+    x = psi.tensorized().transpose(0, 2, 1, 3).reshape(4, 4)
+    return int(np.sum(np.linalg.svd(x, compute_uv=False) ** 2 > qmat.EIG_FLOOR))
+
+
+def test_support_transfer_matches_dense_route_on_builtins():
+    # on the built-ins Y^dag X has full rank on xi's support, so the polar step
+    # there is unique and both routes transfer the same vector
+    rng = np.random.default_rng(111)
+    unitaries = [None, random_unitary(2, rng), random_unitary(2, rng)]
+    for inst in builtin_qsr_instances().values():
+        sigma_pure = qmat.purify(inst.sigma_c, purifier_label="L")
+        rank_sigma = np.linalg.matrix_rank(inst.sigma_c.matrix)
+        for u in unitaries:
+            psi = inst.psi if u is None else _rotate_r(inst.psi, u)
+            for n in range(2, 7):
+                mu, xi2, r = protocols._split_transfer(psi, sigma_pure, n)
+                assert r == _schmidt_rank(psi) * rank_sigma ** n
+                dense = _dense_transfer(psi, sigma_pure, mu, n)
+                assert np.linalg.norm(xi2 - dense) <= 1e-12, (inst.name, n)
+
+
+def test_support_transfer_generic_psi_keeps_the_overlap():
+    # a generic psi has full Schmidt rank, and Y^dag X is rank-deficient on its
+    # support; the polar step's completion there is arbitrary, so only the
+    # overlap (the sum of singular values) is route-independent
+    rng = np.random.default_rng(112)
+    sigma_c = DensityOperator(qmat.system(("C", 2)), np.diag([0.6, 0.4]).astype(complex))
+    sigma_pure = qmat.purify(sigma_c, purifier_label="L")
+    for _ in range(2):
+        psi = random_pure_state(qmat.qubits("R", "A", "B", "C"), rng)
+        assert _schmidt_rank(psi) == 4
+        for n in (2, 3):
+            inst = QsrInstance(psi=psi, sigma_c=sigma_c, eps1=0.5, eps2=0.25, gamma=0.25,
+                               n_override=n)
+            t = qsr_full(inst)
+            mu, _, r = protocols._split_transfer(inst.psi, sigma_pure, n)
+            assert r == 4 * 2 ** n
+            dense = _dense_transfer(inst.psi, sigma_pure, mu, n)
+            assert t.details["overlap"] == pytest.approx(abs(np.vdot(mu.amplitudes, dense)),
+                                                         abs=1e-12)
+            assert 0.0 <= t.details["purified_distance"] <= 1.0
+
+
+def test_transfer_overlap_is_marginal_fidelity_down_to_one_slot():
+    # regression: n = 1 is a valid slot count, and the transfer needs room for
+    # xi's support only, not for all of Alice's registers
+    for inst in builtin_qsr_instances().values():
+        sigma_pure = qmat.purify(inst.sigma_c, purifier_label="L")
+        for n in (1, 2):
+            t = qsr_full(replace(inst, n_override=n))
+            mu, _, _ = protocols._split_transfer(inst.psi, sigma_pure, n)
+            xi_amps, xi_sys = protocols._with_sigma_copies(
+                inst.psi.amplitudes, inst.psi.system.registers, sigma_pure, range(1, n + 1))
+            shared = ["R", "B"] + [f"C{i}" for i in range(1, n + 1)]
+            # F = ||sqrt(rho) sqrt(sigma)||_1: qmat.fidelity's route through the
+            # eigenvalues of sqrt(sigma) rho sqrt(sigma) takes roots of rounding-level
+            # eigenvalues of these rank-deficient marginals and is off by up to 8e-9
+            roots = [psd_sqrt(vector_marginal(state, shared).matrix)
+                     for state in (mu, qmat.StateVector(xi_sys, xi_amps))]
+            target = np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum()
+            assert t.details["overlap"] == pytest.approx(target, abs=1e-12)
+    rng = np.random.default_rng(113)
+    inst = QsrInstance(psi=random_pure_state(qmat.qubits("R", "A", "B", "C"), rng),
+                       sigma_c=builtin_qsr_instances()["mismatched-prior"].sigma_c,
+                       eps1=0.5, eps2=0.25, gamma=0.25, n_override=1)
+    with pytest.raises(qmat.DimensionMismatch, match="n=1 slots"):
+        qsr_full(inst)
+
+
+def test_support_transfer_refuses_weight_dropped_past_the_floor():
+    # each squared Schmidt coefficient below EIG_FLOOR is dropped, but their sum
+    # may not exceed it
+    sigma_c = builtin_qsr_instances()["mismatched-prior"].sigma_c
+    for w, ok in ((4e-13, True), (6e-13, False)):
+        amps = np.zeros(16, dtype=complex)
+        amps[0b0000] = math.sqrt(1.0 - 2.0 * w)   # |00>_RB |00>_AC
+        amps[0b0011] = math.sqrt(w)               # |01>_RB |01>_AC
+        amps[0b1100] = math.sqrt(w)               # |10>_RB |10>_AC
+        inst = QsrInstance(psi=qmat.StateVector(qmat.qubits("R", "A", "B", "C"), amps),
+                           sigma_c=sigma_c, eps1=0.5, eps2=0.25, gamma=0.25, n_override=2)
+        if ok:
+            assert 0.0 <= qsr_full(inst).details["overlap"] <= 1.0
+        else:
+            with pytest.raises(InvalidState, match="drops Schmidt weight"):
+                qsr_full(inst)
 
 
 def test_qsr_override_shrinks_slots():
