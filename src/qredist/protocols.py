@@ -124,11 +124,28 @@ def _jsonable(obj: Any) -> Any:
     return str(obj)
 
 
-def _check_budget(dim: int, budget: int, what: str) -> None:
+def _check_budget(base: int, factor: int, power: int, budget: int, what: str) -> None:
+    """Refuse a run that needs base * factor**power amplitudes, more than the budget.
+
+    The count is at least 2^e with e = (bits(factor) - 1) power + bits(base) - 1,
+    so once e reaches both 64 and the budget's bit length the count is refused
+    without being formed; any other count is formed, compared and printed exactly.
+    """
+    e = (factor.bit_length() - 1) * power + base.bit_length() - 1
+    if e >= max(64, max(budget, 0).bit_length()):
+        raise BudgetExceeded(f"{what} needs at least 2^{e} amplitudes, over the budget of {budget}")
+    dim = base * factor ** power
     if dim > budget:
+        raise BudgetExceeded(f"{what} needs {dim} amplitudes, over the budget of {budget}")
+
+
+def _slot_count(k: float, delta: float) -> int:
+    """n = ceil(2^k / delta); a count that overflows a float is over any budget."""
+    try:
+        return int(math.ceil(2.0 ** k / delta - 1e-12))
+    except (OverflowError, ZeroDivisionError):
         raise BudgetExceeded(
-            f"{what} needs {dim} amplitudes, over the budget of {budget}"
-        )
+            f"slot count 2^{k} / {delta} overflows a float, over any budget") from None
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +171,7 @@ def coherence_creation(q: int, e: int, budget: int = MAX_AMPLITUDES) -> Protocol
         raise ValueError("resource counts must be nonnegative")
     m = min(e, q)
     c = q + m
-    _check_budget(2 ** max(c, 1), budget, "coherence creation output")
+    _check_budget(1, 2, max(c, 1), budget, "coherence creation output")
     t = ProtocolTranscript()
     bob_amps = np.ones(1, dtype=complex)
     bob_regs: list[tuple[str, int]] = []
@@ -269,7 +286,7 @@ def _split_inputs(
     p_labels = [lab for lab in rho_pq.system.labels if lab not in q_labels]
     if not p_labels:
         raise RegisterError("the joint state must have at least one register outside sigma")
-    _check_budget(rho_pq.system.dim * sigma_q.system.dim ** (n - 1), budget,
+    _check_budget(rho_pq.system.dim, sigma_q.system.dim, n - 1, budget,
                   f"convex split over {n} slots")
     if list(rho_pq.system.labels) != p_labels + q_labels:
         rho_pq = qmat.permute_registers(rho_pq, p_labels + q_labels)
@@ -435,7 +452,7 @@ def convex_split_bound_check(
     kval = max_relative_entropy(rho_pq, product)
     if not kval.finite:
         raise InvalidState("joint state is unsupported on marginal x sigma")
-    n = int(math.ceil(2.0 ** kval.value / delta - 1e-12))
+    n = _slot_count(kval.value, delta)
     rho_pq, sys_ = _split_inputs(rho_pq, sigma_q, n, budget)
 
     # Work in the eigenbasis of the target rho_P x sigma^{xn}: the split state
@@ -588,7 +605,7 @@ def qsr_parameters(instance: QsrInstance) -> QsrParameters:
         raise InvalidState("instance violates the support condition against sigma_c")
     delta = instance.eps1 ** 2
     n = (instance.n_override if instance.n_override is not None
-         else int(math.ceil(2.0 ** kval.value / delta - 1e-12)))
+         else _slot_count(kval.value, delta))
     if n < 1:
         raise ValueError("slot count must be positive")
 
@@ -605,7 +622,7 @@ def qsr_parameters(instance: QsrInstance) -> QsrParameters:
     b = instance.b_override if instance.b_override is not None else max(1, min(b_raw, n))
     if not 1 <= b <= n:
         raise ValueError(f"block size {b} outside [1, {n}]")
-    cobits = int(math.ceil(math.log2(n / b) - 1e-12)) if n > b else 0
+    cobits = ((n - 1) // b).bit_length()  # ceil(log2(n / b)), in integers
     return QsrParameters(
         k=kval.value, delta=delta, n=n, d_f=d_f, b=b,
         b_unclamped=max(1, b_raw), cobits=cobits, pi_bc=pi,
@@ -669,58 +686,68 @@ def _idx4(r: int, a: int, b: int, c: int) -> int:
 class DecoderResult:
     transcript: ProtocolTranscript
     outcome_probs: dict[int, float]
-    post_state: DensityOperator      # marginal on R, A, B, C1
     fidelity: float
     purified_distance: float
 
 
+def _decode(
+    branches, pi_bc: np.ndarray, psi: StateVector, b: int
+) -> tuple[dict[int, float], float, float]:
+    """Bob's sequential while-loop decoder: the free test {Pi, id - Pi} on (B, C) for
+    each slot C of a branch in turn, until it fires.
+
+    ``branches`` yields subnormalized (amplitudes, system, slots), ``slots`` the b slot
+    labels Bob tests, in order.  Branches follow the projective realization of the
+    test on a pointer (tracing the pointer leaves the square-root measurement
+    operators used here).  Returns the outcome probabilities (k = 1..b for the test
+    first firing on the k-th slot, b + 1 for no firing, which keeps the first slot),
+    the fidelity with psi on (R, A, B, the slot kept) and the purified distance.
+    """
+    diag = np.diagonal(pi_bc).real
+    sqrt_yes = np.diag(np.sqrt(np.clip(diag, 0.0, None))).astype(complex)
+    sqrt_no = np.diag(np.sqrt(np.clip(1.0 - diag, 0.0, None))).astype(complex)
+
+    def outcomes(amps, sys_, slots):
+        for k, slot in enumerate(slots, 1):
+            yield (k, slot, *apply_subsystem_matrix(amps, sys_, sqrt_yes, ["B", slot]))
+            amps, sys_ = apply_subsystem_matrix(amps, sys_, sqrt_no, ["B", slot])
+        yield b + 1, slots[0], amps, sys_
+
+    psi_conj = psi.tensorized().conj()
+    probs = {k: 0.0 for k in range(1, b + 2)}
+    fid2 = 0.0
+    for branch in branches:
+        for k, slot, amps, sys_ in outcomes(*branch):
+            w = float(np.vdot(amps, amps).real)
+            probs[k] += w
+            if w > 1e-18:
+                axes = [sys_.axis(lab) for lab in ("R", "A", "B", slot)]
+                overlap = np.tensordot(psi_conj, amps.reshape(sys_.dims), (range(4), axes))
+                fid2 += float(np.sum(np.abs(overlap) ** 2))
+    f = math.sqrt(min(max(fid2, 0.0), 1.0))
+    return probs, f, math.sqrt(max(0.0, 1.0 - f * f))
+
+
 def _branch_vectors(
     instance: QsrInstance, b: int, budget: int
-) -> list[tuple[np.ndarray, RegisterSystem]]:
+) -> list[tuple[np.ndarray, RegisterSystem, list[str]]]:
     """Pure branches of the block mixture (1/b) sum_j Phi_{RABC_j} x sigma on the
-    other slots, one per slot holding Phi.  All share the amplitudes of
-    Phi_{RABC_1} x sigma on slots 2..b; branch j relabels that system C1 <-> Cj,
-    Lj -> L1, so its registers come in another order and are addressed by label."""
+    other slots, one per slot holding Phi, as ``_decode`` takes them.  All share the
+    amplitudes and registers of Phi_{RABC_1} x sigma on slots 2..b; branch j puts Phi
+    in the j-th slot Bob tests by exchanging C1 and Cj in his slot order."""
     sigma_pure = purify(instance.sigma_c, purifier_label="L")
-    _check_budget(instance.psi.system.dim * sigma_pure.system.dim ** (b - 1), budget,
+    _check_budget(instance.psi.system.dim, sigma_pure.system.dim, b - 1, budget,
                   "decoder branch")
     amps, sys_ = _with_sigma_copies(
         instance.psi.amplitudes, qmat.relabel_system(instance.psi.system, {"C": "C1"}).registers,
         sigma_pure, range(2, b + 1))
     amps /= math.sqrt(b)
-    swaps = [{}] + [{"C1": f"C{j}", f"C{j}": "C1", f"L{j}": "L1"} for j in range(2, b + 1)]
-    return [(amps, qmat.relabel_system(sys_, swap)) for swap in swaps]
-
-
-def _overlap_weight(amps: np.ndarray, sys_: RegisterSystem, psi: StateVector) -> float:
-    """Squared norm of the partial inner product <psi_{RABC_1}|branch>."""
-    axes = [sys_.axis(lab) for lab in ("R", "A", "B", "C1")]
-    t = amps.reshape(sys_.dims)
-    w = np.tensordot(psi.tensorized().conj(), t, axes=(list(range(len(axes))), axes))
-    return float(np.sum(np.abs(w) ** 2))
-
-
-def _test_roots(pi_bc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Measurement operators (sqrt(Pi), sqrt(id - Pi)) of a diagonal test."""
-    diag = np.diagonal(pi_bc).real
-    return (np.diag(np.sqrt(np.clip(diag, 0.0, None))).astype(complex),
-            np.diag(np.sqrt(np.clip(1.0 - diag, 0.0, None))).astype(complex))
-
-
-def _sequential_branches(
-    amps: np.ndarray, sys_: RegisterSystem, roots: tuple[np.ndarray, np.ndarray], b: int
-):
-    """Bob's sequential test on (B, C_k), k = 1..b: yields (k, branch, system) for the
-    test first firing on slot k, with C_k swapped into C1, then (b + 1, branch, system)
-    for no firing.  Branches stay subnormalized; squared norms are the probabilities."""
-    sqrt_yes, sqrt_no = roots
-    for k in range(1, b + 1):
-        fired, f_sys = apply_subsystem_matrix(amps, sys_, sqrt_yes, ["B", f"C{k}"])
-        if k > 1:
-            f_sys = qmat.relabel_system(f_sys, {f"C{k}": "C1", "C1": f"C{k}"})
-        yield k, fired, f_sys
-        amps, sys_ = apply_subsystem_matrix(amps, sys_, sqrt_no, ["B", f"C{k}"])
-    yield b + 1, amps, sys_
+    branches = []
+    for j in range(b):
+        slots = [f"C{i}" for i in range(1, b + 1)]
+        slots[0], slots[j] = slots[j], slots[0]
+        branches.append((amps, sys_, slots))
+    return branches
 
 
 def qsr_decoder_p1(
@@ -729,16 +756,15 @@ def qsr_decoder_p1(
     params: QsrParameters,
     budget: int = MAX_AMPLITUDES,
 ) -> DecoderResult:
-    """Bob's sequential while-loop decoder over b slots.
+    """Bob's sequential decoder (``_decode``, the one ``qsr_full`` runs) on the block
+    mixture of b slots, one of which holds the payload.
 
     Measures {Pi, id - Pi} on (B, C_k) for k = 1, 2, ... until the test
-    fires, then swaps C_k with C_1; a run with no firing is recorded as
-    outcome b + 1 and counts toward the infidelity.  Measurement branches
-    follow the projective realization of the test on a pointer (tracing the
-    pointer leaves the square-root measurement operators used here).  Pi
-    (``params.pi_bc``) must be a free (diagonal) test operator.  When
-    ``params.d_f`` is finite the distance is checked against the claim bound
-    and, for b 2^(-d_f) <= gamma^4, against eps2 + gamma of the instance.
+    fires and keeps C_k; a run with no firing is recorded as outcome b + 1 and
+    counts toward the infidelity.  Pi (``params.pi_bc``) must be a free
+    (diagonal) test operator.  When ``params.d_f`` is finite the distance is
+    checked against the claim bound and, for b 2^(-d_f) <= gamma^4, against
+    eps2 + gamma of the instance.
     """
     pi_bc, d_f = params.pi_bc, params.d_f
     eps2, gamma = instance.eps2, instance.gamma
@@ -749,31 +775,12 @@ def qsr_decoder_p1(
     diag = np.diagonal(pi_bc).real
     if diag.min() < -1e-9 or diag.max() > 1.0 + 1e-9:
         raise InvalidState("test operator not between 0 and the identity")
-    dim_c = instance.sigma_c.system.dim
-    d_bc = instance.psi.system.dim_of(["B"]) * dim_c
+    d_bc = instance.psi.system.dim_of(["B"]) * instance.sigma_c.system.dim
     if pi_bc.shape != (d_bc, d_bc):
         raise DimensionMismatch(f"test operator shape {pi_bc.shape}, expected {(d_bc, d_bc)}")
 
-    roots = _test_roots(pi_bc)
-    branches = _branch_vectors(instance, b, budget)
-
-    d_out = instance.psi.system.dim_of(["R", "A", "B"]) * dim_c
-    outcome_probs: dict[int, float] = {k: 0.0 for k in range(1, b + 2)}
-    fid2 = 0.0
-    marginal = np.zeros((d_out, d_out), dtype=complex)
-
-    for amps, start_sys in branches:
-        for k, branch, sys_k in _sequential_branches(amps, start_sys, roots, b):
-            w = float(np.vdot(branch, branch).real)
-            outcome_probs[k] += w
-            if w > 1e-18:
-                fid2 += _overlap_weight(branch, sys_k, instance.psi)
-                keep = [sys_k.axis(lab) for lab in ("R", "A", "B", "C1")]
-                marginal += qmat.vector_marginal_matrix(branch, sys_k.dims, keep)
-
-    f = math.sqrt(min(max(fid2, 0.0), 1.0))
-    p_dist = math.sqrt(max(0.0, 1.0 - f * f))
-
+    outcome_probs, f, p_dist = _decode(_branch_vectors(instance, b, budget), pi_bc,
+                                       instance.psi, b)
     t = ProtocolTranscript()
     t.add(
         f"bob runs the sequential block decoder over {b} slots",
@@ -792,15 +799,9 @@ def qsr_decoder_p1(
             raise BoundViolation(
                 f"decoder distance {p_dist} violates eps2 + gamma = {eps2 + gamma}"
             )
-    out_sys = RegisterSystem(
-        tuple(instance.psi.system.subsystem(["R", "A", "B"]).registers) + (("C1", dim_c),)
-    )
-    total = float(np.trace(marginal).real)
-    post = DensityOperator(out_sys, marginal / total if total > 0 else marginal)
     return DecoderResult(
         transcript=t.finalize(),
         outcome_probs=outcome_probs,
-        post_state=post,
         fidelity=f,
         purified_distance=p_dist,
     )
@@ -875,16 +876,22 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
 
     Alice and Bob share n purified copies of sigma_c; Alice applies the
     transfer isometry onto the convex-split purification, measures the slot
-    register (modeled as a classical mixture over outcomes), announces the
-    block index with ceil(log2(n/b)) cobits, and Bob locates the payload
-    slot with the sequential decoder.  The final state on (R, A, B, C1) is
-    compared against the input; with un-overridden parameters the purified
-    distance must respect 3 eps1 + eps2 + gamma.
+    register (modeled as a classical mixture over outcomes) and announces the
+    block index g with ceil(log2(n/b)) cobits.  Bob runs the sequential decoder
+    (``_decode``, the one ``qsr_decoder_p1`` runs) on the slots C_{gb+1}..C_{gb+b},
+    each falling back to C_i past n, so a short last block is filled from the
+    first.  The final state on (R, A, B, the slot Bob keeps) is compared against
+    the input; with un-overridden parameters the purified distance must respect
+    3 eps1 + eps2 + gamma.
 
     The transfer is the Uhlmann polar step taken on the support of
     psi x |sigma>^{xn} on Alice's registers (``_split_transfer``), so the
     target side needs room for that support only: n = 1 runs whenever it
     fits, and a slot count too small for it raises ``DimensionMismatch``.
+    The budget counts mu, the largest array that route forms.  For a psi of
+    full Schmidt rank across RB|AC the polar step's cross-overlap is
+    rank-deficient on that support, so only the transfer overlap is fixed: the
+    purified distance depends on the isometry's arbitrary completion.
     """
     params = qsr_parameters(instance)
     psi = instance.psi
@@ -892,10 +899,7 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
     d_r, d_a, d_b, d_c = psi.system.dims
     sigma_pure = purify(instance.sigma_c, purifier_label="L")
     d_l = sigma_pure.system.dims[-1]
-
-    dim_xi = d_r * d_a * d_b * d_c * (d_l * d_c) ** n
-    dim_mu = n * d_r * d_a * d_b * (d_l * d_c) ** n
-    _check_budget(max(dim_xi, dim_mu), budget, f"redistribution run at n={n}")
+    _check_budget(n * d_r * d_a * d_b, d_l * d_c, n, budget, f"redistribution run at n={n}")
 
     t = ProtocolTranscript()
     t.add(
@@ -910,7 +914,6 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
     t.singlets_consumed = n
 
     mu, xi2_amps, _ = _split_transfer(psi, sigma_pure, n)
-    xi2_sys = mu.system
     overlap = float(abs(np.vdot(mu.amplitudes, xi2_amps)))
     t.add("alice applies the transfer isometry toward the split purification",
           overlap=overlap)
@@ -920,37 +923,21 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
         )
 
     # Alice measures the slot register; branches stay subnormalized
-    j_axis = xi2_sys.axis("J")
-    tens = xi2_amps.reshape(xi2_sys.dims)
-    branch_sys = xi2_sys.drop(["J"])
-    slot_probs = []
-    fid2 = 0.0
-    outcome_totals: dict[int, float] = {}
-    roots = _test_roots(params.pi_bc)
-    for j in range(1, n + 1):
-        amps = np.take(tens, j - 1, axis=j_axis).reshape(-1)
-        pj = float(np.vdot(amps, amps).real)
-        slot_probs.append(pj)
-        if pj <= 1e-18:
-            continue
-        g = (j - 1) // b
-        sys_j = branch_sys
-        if g > 0:
-            swap: dict[str, str] = {}
-            for i in range(1, b + 1):
-                src = g * b + i
-                if src > n:
-                    break
-                swap[f"C{src}"] = f"C{i}"
-                swap[f"C{i}"] = f"C{src}"
-            sys_j = qmat.relabel_system(branch_sys, swap)
-        # sequential decoding on the first b slots
-        for k, branch, sys_k in _sequential_branches(amps, sys_j, roots, b):
-            w = float(np.vdot(branch, branch).real)
-            outcome_totals[k] = outcome_totals.get(k, 0.0) + w
-            if w > 1e-18:
-                fid2 += _overlap_weight(branch, sys_k, psi)
+    j_axis = mu.system.axis("J")
+    tens = xi2_amps.reshape(mu.system.dims)
+    branch_sys = mu.system.drop(["J"])
+    slot_probs: list[float] = []
 
+    def slot_branches():
+        for j in range(1, n + 1):
+            amps = np.take(tens, j - 1, axis=j_axis).reshape(-1)
+            slot_probs.append(float(np.vdot(amps, amps).real))
+            if slot_probs[-1] > 1e-18:
+                first = (j - 1) // b * b
+                yield amps, branch_sys, [f"C{first + i if first + i <= n else i}"
+                                         for i in range(1, b + 1)]
+
+    outcome_probs, f, p_dist = _decode(slot_branches(), params.pi_bc, psi, b)
     t.add(
         "alice measures the slot register and announces the block index",
         resources={"cobits_sent": params.cobits},
@@ -960,11 +947,9 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
     t.add(
         "bob swaps the announced block forward and decodes sequentially "
         "(slot swaps and the diagonal test are incoherent)",
-        outcome_probs={str(k): v for k, v in sorted(outcome_totals.items())},
+        outcome_probs={str(k): v for k, v in outcome_probs.items()},
     )
 
-    f = math.sqrt(min(max(fid2, 0.0), 1.0))
-    p_dist = math.sqrt(max(0.0, 1.0 - f * f))
     bound = 3.0 * instance.eps1 + instance.eps2 + instance.gamma
     t.achieved_fidelity = f
     t.details = {

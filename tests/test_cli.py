@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qredist
 from qredist import qmat
 from qredist.cli import main
 from qredist.qmat import DensityOperator, StateVector
@@ -381,6 +386,27 @@ def test_convex_split_respects_budget(capsys, command):
     code, out, err = run(capsys, [*command, "--budget", "16"])
     assert (code, out) == (3, "")
     assert "budget of 16" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "convex-split", "--delta", "1e-7"],
+    ["simulate", "convex-split", "--delta", "1e-12"],
+    ["sweep", "delta", "--deltas", "1e-12"],
+    ["simulate", "qsr", "--instance", "mismatched-prior", "--eps1", "1e-9"],
+    ["sweep", "block", "--b-list", "1000000000000"],
+    ["simulate", "coherence-creation", "--q", "100000000000", "--e", "0"],
+    ["simulate", "convex-split", "--delta", "1e-320"],
+    ["simulate", "qsr", "--n-override", "1" + "0" * 400],
+])
+def test_budget_refuses_astronomical_counts(command):
+    # regression: each of these formed a count of 10^7 to 10^11+ digits (hanging, or
+    # exiting 2 when the message printed it) or overflowed a float slot count (exit 4)
+    src = str(Path(qredist.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "qredist.cli", *command], capture_output=True,
+                          text=True, timeout=30, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "budget" in proc.stderr
 
 
 @pytest.mark.parametrize("command", (["simulate", "convex-split"], ["sweep", "delta"]))

@@ -45,6 +45,33 @@ def test_modules_use_their_imports():
     assert unused == {}
 
 
+def _unreferenced_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that no code names outside their
+    own definition, across all the given modules."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined.append((module, own))
+            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            used |= names - {own}
+    return sorted(f"{module}: {name}" for module, name in defined if name not in used)
+
+
+def test_private_helpers_are_used():
+    package = Path(qredist.__file__).parent
+    assert _unreferenced_helpers({path.name: path.read_text()
+                                  for path in sorted(package.glob("*.py"))}) == []
+
+
+def test_unreferenced_helper_is_flagged():
+    source = ("def _kept():\n    return 1\n\n"
+              "def _dead(n):\n    return _dead(n - 1) if n else _kept()\n")
+    assert _unreferenced_helpers({"m.py": source}) == ["m.py: _dead"]
+
+
 def _foreign_imports(source: str) -> list[str]:
     """Top-level modules imported anywhere in a module, function bodies included,
     other than the standard library, the package itself and numpy."""

@@ -448,6 +448,22 @@ def test_qsr_full_budget_guard():
         qsr_full(inst, budget=64)
 
 
+@pytest.mark.parametrize("b, distance, probs", [
+    (3, 0.6242656315436178,
+     [0.9951698519223887, 0.004733894973111944, 9.434593001586891e-05, 1.9071744847621428e-06]),
+    (2, 0.5414034944066394, [0.9953589445502491, 0.004552971571880839, 8.8083877871426e-05]),
+])
+def test_qsr_full_decodes_a_short_last_block(b, distance, probs):
+    # at n = 7 the last announced block runs past n: Bob tests C7, then falls back to
+    # C2 (and C3 at b = 3).  Values frozen from the per-block relabelling decoder.
+    inst = replace(builtin_qsr_instances()["mismatched-prior"], n_override=7, b_override=b)
+    t = qsr_full(inst, budget=2 ** 23)
+    assert t.details["purified_distance"] == pytest.approx(distance, abs=1e-12)
+    got = t.steps[-1].data["outcome_probs"]
+    assert list(got) == [str(k) for k in range(1, b + 2)]
+    assert [got[str(k)] for k in range(1, b + 2)] == pytest.approx(probs, abs=1e-12)
+
+
 def _dense_transfer(psi, sigma_pure, mu, n):
     """The oracle route: xi = psi x |sigma>^{xn} as a vector, pushed through the
     dense uhlmann_isometry onto mu, in mu's register order."""
@@ -582,8 +598,6 @@ def test_decoder_outcomes_form_distribution():
     res = qsr_decoder_p1(inst, 2, params)
     total = sum(res.outcome_probs.values())
     assert total == pytest.approx(1.0, abs=1e-9)
-    assert res.post_state.trace() == pytest.approx(1.0, abs=1e-9)
-    assert res.post_state.system.labels == ("R", "A", "B", "C1")
     assert 0.0 <= res.fidelity <= 1.0
     assert res.purified_distance <= res.transcript.details["claim_bound"] + 1e-9
 
