@@ -38,11 +38,11 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .protocols import (
-    BoundViolation,
     BudgetExceeded,
     MAX_AMPLITUDES,
     MAX_DENSITY_DIM,
     QsrInstance,
+    _check_budget,
     builtin_qsr_instances,
     coherence_creation,
     convex_split_bound_check,
@@ -135,15 +135,12 @@ def _pure_input(args: argparse.Namespace) -> StateVector:
     budget = _budget(args)
     if args.state is not None:
         psi = _load_vector(args.state)
-        if args.budget is not None and psi.system.dim > budget:
-            raise BudgetExceeded(f"{args.state}: {psi.system.dim} amplitudes, "
-                                 f"over the budget of {budget}")
+        if args.budget is not None:
+            _check_budget(psi.system.dim, 1, 0, budget, f"state file {args.state}")
         return psi
-    # 2^N > budget, tested without forming 2^N for a huge N
-    if args.random_qubits >= max(budget, 0).bit_length():
-        raise BudgetExceeded(f"{args.random_qubits} random qubits need 2^{args.random_qubits} "
-                             f"amplitudes, over the budget of {budget}")
-    return _random_pure_rabc(args.seed, args.random_qubits)
+    n = args.random_qubits
+    _check_budget(1, 2, n, budget, f"--random-qubits {n} (2^{n} amplitudes)")
+    return _random_pure_rabc(args.seed, n)
 
 
 def _split_pair(args: argparse.Namespace) -> tuple[DensityOperator, DensityOperator]:
@@ -357,10 +354,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         budget = _budget(args)
         rows = []
         for m in range(1, args.max_copies + 1):
-            if psi.system.dim ** m > budget:
-                raise BudgetExceeded(
-                    f"{m} copies need {psi.system.dim ** m} amplitudes, over {budget}"
-                )
+            _check_budget(1, psi.system.dim, m, budget, f"the {m}-copy state")
             rep = rates.rate_report(rates.tensor_power_state(psi, m))
             row: dict[str, Any] = {"copies": m}
             for name, val in rep.entries().items():
@@ -594,7 +588,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (BoundViolation, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except (InputError, StateFileError, RegisterError, DimensionMismatch,

@@ -58,24 +58,22 @@ def dephase(rho: DensityOperator, labels: Sequence[str] | None = None) -> Densit
     return DensityOperator(rho.system, out, subnormalized=rho.subnormalized)
 
 
-def is_diagonal(mat: np.ndarray, tol: float = COHERENCE_TOL) -> bool:
-    return bool(np.max(np.abs(mat - np.diag(np.diagonal(mat)))) <= tol)
+def is_diagonal(mat: np.ndarray) -> bool:
+    return bool(np.max(np.abs(mat - np.diag(np.diagonal(mat)))) <= COHERENCE_TOL)
 
 
-def is_free_state(rho: DensityOperator, tol: float = COHERENCE_TOL) -> bool:
-    return is_diagonal(rho.matrix, tol)
+def is_free_state(rho: DensityOperator) -> bool:
+    return is_diagonal(rho.matrix)
 
 
-def is_incoherent_channel(
-    channel: KrausChannel, tol: float = COHERENCE_TOL
-) -> tuple[bool, tuple[int, int] | None]:
+def is_incoherent_channel(channel: KrausChannel) -> tuple[bool, tuple[int, int] | None]:
     """Check every Kraus operator maps basis states to (scaled) basis states.
 
     Returns (True, None) or (False, (kraus_index, column)) naming the first
     column with two entries above the tolerance.
     """
     for ki, k in enumerate(channel.kraus):
-        counts = (np.abs(k) > tol).sum(axis=0)
+        counts = (np.abs(k) > COHERENCE_TOL).sum(axis=0)
         bad = np.nonzero(counts > 1)[0]
         if bad.size:
             return False, (ki, int(bad[0]))
@@ -97,10 +95,10 @@ class IncoherentKrausSet:
             )
 
 
-def maximally_coherent_state(num_qubits: int, prefix: str = "Q") -> StateVector:
-    """|+>^(x n) on qubit registers prefix1..prefixN."""
+def maximally_coherent_state(num_qubits: int) -> StateVector:
+    """|+>^(x n) on qubit registers Q1..QN."""
     if num_qubits < 1:
         raise RegisterError("need at least one qubit")
-    sys_ = RegisterSystem(tuple((f"{prefix}{i + 1}", 2) for i in range(num_qubits)))
+    sys_ = RegisterSystem(tuple((f"Q{i + 1}", 2) for i in range(num_qubits)))
     d = 2 ** num_qubits
     return StateVector(sys_, np.full(d, 1.0 / np.sqrt(d), dtype=complex))

@@ -22,6 +22,7 @@ from .qmat import (
     DimensionMismatch,
     InvalidState,
     RegisterError,
+    _check_bound,
     partial_trace,
     trace_norm,
 )
@@ -436,10 +437,9 @@ def conditional_mutual_information(rho: DensityOperator, part_a, part_b, part_c)
         - von_neumann_entropy(partial_trace(abc, c))
     )
     v2 = mutual_information(abc, a, b + c) - mutual_information(partial_trace(abc, a + c), a, c)
-    if abs(v1 - v2) > 1e-10:
-        raise ArithmeticError(f"conditional mutual information routes disagree: {v1} vs {v2}")
-    if v1 < -1e-9:
-        raise ArithmeticError(f"conditional mutual information {v1} violates strong subadditivity")
+    _check_bound("conditional mutual information route gap", abs(v1 - v2), 0.0, "<=", 1e-10)
+    _check_bound("strong subadditivity of the conditional mutual information", v1, 0.0,
+                 ">=", 1e-9)
     return v1
 
 

@@ -37,6 +37,21 @@ class InvalidState(ValueError):
     """A state, channel or measurement violates its defining invariants."""
 
 
+class BoundViolation(RuntimeError, ArithmeticError):
+    """A measured quantity violates a proven bound, or two routes to one quantity
+    disagree; indicates a genuine bug."""
+
+
+def _check_bound(check: str, measured: float, bound: float, sense: str, margin: float) -> None:
+    """Raise BoundViolation unless measured <= bound + margin (sense "<=") or
+    measured >= bound - margin (sense ">="); a NaN measured value fails."""
+    if sense not in ("<=", ">="):
+        raise ValueError(f"unknown bound sense {sense!r}")
+    if not (measured <= bound + margin if sense == "<=" else measured >= bound - margin):
+        raise BoundViolation(f"{check}: measured {float(measured)!r}, "
+                             f"required {sense} {float(bound)!r} within {margin!r}")
+
+
 def _prod(xs: Iterable[int]) -> int:
     out = 1
     for x in xs:

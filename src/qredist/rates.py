@@ -28,6 +28,7 @@ from .qmat import (
     RegisterError,
     RegisterSystem,
     StateVector,
+    _check_bound,
     permute_vector,
     relabel_vector,
     tensor,
@@ -72,13 +73,9 @@ class RateReport:
             val = getattr(self, name)
             if not math.isfinite(val):
                 raise InvalidState(f"rate entry {name} is not finite: {val}")
-        if self.units == QUBIT_UNITS and (
-            self.q_min_incoherent < self.q_min_std - FORM_TOL
-        ):
-            raise InvalidState(
-                "incoherent rate fell below the unrestricted rate: "
-                f"{self.q_min_incoherent} < {self.q_min_std}"
-            )
+        if self.units == QUBIT_UNITS:
+            _check_bound("incoherent rate against the unrestricted rate", self.q_min_incoherent,
+                         self.q_min_std, ">=", FORM_TOL)
 
     def in_units(self, units: str) -> "RateReport":
         if units == self.units:
@@ -159,8 +156,7 @@ class _PureMarginals:
         _require(self.psi, {"R", "B", "C"})
         v = (self.entropy("B", "C") + self.entropy("R", "B")
              - self.entropy("R", "B", "C") - self.entropy("B"))
-        if v < -1e-9:
-            raise ArithmeticError(f"conditional mutual information {v} violates strong subadditivity")
+        _check_bound("strong subadditivity of I(C:R|B)", v, 0.0, ">=", 1e-9)
         return v
 
     def standard_rates(self) -> tuple[float, float]:
@@ -201,13 +197,10 @@ class _PureMarginals:
         form_product = d1.value - d2.value
         return form_entropy, form_relent, form_product
 
-    def incoherent_rate(self, sigma_c: DensityOperator | None, tol: float = FORM_TOL) -> float:
+    def incoherent_rate(self, sigma_c: DensityOperator | None) -> float:
         a, b, c = self.rate_forms(sigma_c)
-        spread = max(a, b, c) - min(a, b, c)
-        if spread > tol:
-            raise ArithmeticError(
-                f"rate forms disagree beyond {tol}: {a}, {b}, {c}"
-            )
+        _check_bound("spread of the three incoherent rate forms", max(a, b, c) - min(a, b, c),
+                     0.0, "<=", FORM_TOL)
         return 0.5 * a
 
     def schumacher_rate(self) -> float:
@@ -248,17 +241,13 @@ def incoherent_rate_forms(
     return _PureMarginals(psi).rate_forms(sigma_c)
 
 
-def incoherent_qsr_rate(
-    psi: StateVector,
-    sigma_c: DensityOperator | None = None,
-    tol: float = FORM_TOL,
-) -> float:
+def incoherent_qsr_rate(psi: StateVector, sigma_c: DensityOperator | None = None) -> float:
     """Qubit rate for redistribution with an incoherent decoder.
 
     Half of {I(C:R|B) plus the local-coherence gap between the (B, C) and B
-    marginals}; all three computation routes must agree to ``tol``.
+    marginals}; all three computation routes must agree to ``FORM_TOL``.
     """
-    return _PureMarginals(psi).incoherent_rate(sigma_c, tol)
+    return _PureMarginals(psi).incoherent_rate(sigma_c)
 
 
 def incoherent_schumacher_rate(rho_c: DensityOperator) -> float:

@@ -99,3 +99,43 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert out == [qredist.__file__, "[]"]
+
+
+def _raw_bound_raises(sources: dict[str, str]) -> list[str]:
+    """Raises of BoundViolation or ArithmeticError anywhere but in qmat._check_bound, and
+    BoundViolation classes outside qmat: every bound and cross-check goes through the helper."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        helper = set()
+        if module == "qmat.py":
+            helper = {id(node) for stmt in tree.body
+                      if isinstance(stmt, ast.FunctionDef) and stmt.name == "_check_bound"
+                      for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "BoundViolation":
+                if module != "qmat.py":
+                    found.append(f"{module}:{node.lineno}: class BoundViolation")
+            elif isinstance(node, ast.Raise) and node.exc is not None and id(node) not in helper:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                if name in ("BoundViolation", "ArithmeticError"):
+                    found.append(f"{module}:{node.lineno}: raise {name}")
+    return found
+
+
+def test_bounds_are_checked_by_one_helper():
+    package = Path(qredist.__file__).parent
+    assert _raw_bound_raises({path.name: path.read_text()
+                              for path in sorted(package.glob("*.py"))}) == []
+
+
+def test_raw_bound_raise_is_flagged():
+    helper = ("class BoundViolation(ArithmeticError):\n    pass\n\n"
+              "def _check_bound(x):\n    if not x <= 1:\n        raise BoundViolation(x)\n")
+    raw = ("class BoundViolation(RuntimeError):\n    pass\n\n"
+           "def check(x):\n    if x > 1:\n        raise ArithmeticError(x)\n"
+           "    if x < 0:\n        raise qmat.BoundViolation\n")
+    assert _raw_bound_raises({"qmat.py": helper, "rates.py": raw}) == [
+        "rates.py:1: class BoundViolation", "rates.py:6: raise ArithmeticError",
+        "rates.py:8: raise BoundViolation"]

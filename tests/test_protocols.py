@@ -65,6 +65,19 @@ def test_coherence_creation_audit_under_two():
     assert gains == [1.0, 2.0, 2.0]
 
 
+def test_coherence_creation_audit_stays_within_the_amplitudes():
+    # regression: the audit built a 2^c x 2^c density matrix at every step, 64 MB for
+    # one matrix at c = 11, while the budget counts only the 2^c amplitudes
+    tracemalloc.start()
+    try:
+        t = coherence_creation(6, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.coherent_qubits_out == 11
+    assert peak < 16 * 2 ** 20
+
+
 def test_coherence_creation_rejects_negative_and_budget():
     with pytest.raises(ValueError):
         coherence_creation(-1, 0)
