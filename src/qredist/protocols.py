@@ -469,12 +469,12 @@ def convex_split_bound_check(
 # ---------------------------------------------------------------------------
 # Uhlmann transfer isometry
 
-def _polar_isometry(y: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The map V on F's columns that maximizes |Tr(Y^dag F V^T)|, the overlap of the
-    vectors with amplitude matrices Y and F V^T: conj(U Q^dag) from the thin SVD
-    U S Q^dag of K = Y^dag F, an isometry whenever Y has at least as many columns
-    as F (when K is rank-deficient, its completion is arbitrary)."""
-    u, _, qh = np.linalg.svd(y.conj().T @ f, full_matrices=False)
+def _polar_isometry(k: np.ndarray) -> np.ndarray:
+    """The map V on F's columns that maximizes |Tr(K V^T)|, K = Y^dag F the cross-overlap
+    of the vectors with amplitude matrices Y and F, and Tr(K V^T) the overlap of Y with
+    F V^T: conj(U Q^dag) from the thin SVD U S Q^dag of K, an isometry whenever K has at
+    least as many rows as columns (when K is rank-deficient, its completion is arbitrary)."""
+    u, _, qh = np.linalg.svd(k, full_matrices=False)
     return np.conj(u @ qh)
 
 
@@ -516,7 +516,8 @@ def uhlmann_isometry(
             f"target side dimension {db} is smaller than source side {dc}"
         )
     return Isometry(
-        psi_ac.system.subsystem(rest_c), psi_ab.system.subsystem(rest_b), _polar_isometry(y, x)
+        psi_ac.system.subsystem(rest_c), psi_ab.system.subsystem(rest_b),
+        _polar_isometry(y.conj().T @ x)
     )
 
 
@@ -689,26 +690,35 @@ def _decode(
     first firing on the k-th slot, b + 1 for no firing, which keeps the first slot),
     the fidelity with psi on (R, A, B, the slot kept) and the purified distance.
     """
-    diag = np.diagonal(pi_bc).real
-    sqrt_yes = np.diag(np.sqrt(np.clip(diag, 0.0, None))).astype(complex)
-    sqrt_no = np.diag(np.sqrt(np.clip(1.0 - diag, 0.0, None))).astype(complex)
+    d_b, d_c = psi.system.dims[2:]
+    diag = np.diagonal(pi_bc).real.reshape(d_b, d_c)
+    sqrt_yes = np.sqrt(np.clip(diag, 0.0, None))
+    sqrt_no = np.sqrt(np.clip(1.0 - diag, 0.0, None))
 
     def outcomes(amps, sys_, slots):
+        # each root of the diagonal test is one broadcast product over (B, slot), taken
+        # out of place: branches may share their amplitudes
+        amps = amps.reshape(sys_.dims)
+        b_axis = sys_.axis("B")
         for k, slot in enumerate(slots, 1):
-            yield (k, slot, *apply_subsystem_matrix(amps, sys_, sqrt_yes, ["B", slot]))
-            amps, sys_ = apply_subsystem_matrix(amps, sys_, sqrt_no, ["B", slot])
-        yield b + 1, slots[0], amps, sys_
+            axis = sys_.axis(slot)
+            shape = [1] * amps.ndim
+            shape[b_axis], shape[axis] = d_b, d_c
+            yes, no = ((w if b_axis < axis else w.T).reshape(shape) for w in (sqrt_yes, sqrt_no))
+            yield k, slot, amps * yes
+            amps = amps * no
+        yield b + 1, slots[0], amps
 
     psi_conj = psi.tensorized().conj()
     probs = {k: 0.0 for k in range(1, b + 2)}
     fid2 = 0.0
-    for branch in branches:
-        for k, slot, amps, sys_ in outcomes(*branch):
-            w = float(np.vdot(amps, amps).real)
+    for amps, sys_, slots in branches:
+        for k, slot, out in outcomes(amps, sys_, slots):
+            w = float(np.vdot(out, out).real)
             probs[k] += w
             if w > 1e-18:
                 axes = [sys_.axis(lab) for lab in ("R", "A", "B", slot)]
-                overlap = np.tensordot(psi_conj, amps.reshape(sys_.dims), (range(4), axes))
+                overlap = np.tensordot(psi_conj, out, (range(4), axes))
                 fid2 += float(np.sum(np.abs(overlap) ** 2))
     f = math.sqrt(min(max(fid2, 0.0), 1.0))
     return probs, f, math.sqrt(max(0.0, 1.0 - f * f))
@@ -795,63 +805,64 @@ def qsr_decoder_p1(
 
 def _split_transfer(
     psi: StateVector, sigma_pure: StateVector, n: int
-) -> tuple[StateVector, np.ndarray, int]:
-    """The convex-split purification mu, the vector xi = psi x |sigma>_{C_i L_i}^{xn}
-    moved toward it by the Uhlmann isometry on Alice's registers, in mu's register
-    order (R, B, C1..Cn, J, A, L1..Ln), and the dimension r of xi's support there.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alice's Uhlmann transfer of xi = psi x |sigma>_{C_i L_i}^{xn} toward the
+    convex-split purification mu, taken on xi's support without forming either vector.
+    Returns (F, K, V): the transferred vector's amplitude matrix is F V^T, across
+    (R, B, C1..Cn) | (J, A, L1..Ln), and its overlap with mu is Tr(K V^T).
 
     Across (R, B, C1..Cn) | (A, C, L1..Ln), xi's amplitude matrix is X = X_psi x s^{xn},
     with X_psi psi's (R, B) | (A, C) matrix and s sigma's purification as a C x L
-    matrix.  With W the right Schmidt vectors of X_psi, F = (X_psi W) x s^{xn} has
-    r = rank(psi) rank(sigma)^n orthogonal columns and X = F G^dag with G = W x 1 an
-    isometry, so only the polar step of Y^dag F (Y mu's amplitude matrix, d_Y x r)
-    matters: the transferred vector is F V^T.  Neither xi nor the d_Y x d_X
-    cross-overlap Y^dag X is formed, and V is validated on its r columns.
+    matrix.  With W the right Schmidt vectors of X_psi, F = G x s^{xn}, G = X_psi W, has
+    r = rank(psi) rank(sigma)^n orthogonal columns and X = F (W x 1)^dag, so only the
+    polar step of K = Y^dag F matters (Y mu's amplitude matrix).  mu's slot-1 term
+    psi_{RABC_1}|0>_{L_1} x sigma on slots 2..n gives K's J = 1 block
+    M x (s^dag s)^{x(n-1)}, M[(a, l'), (k, l)] = delta_{l'0} sum_{r,b,c}
+    conj(psi[r,a,b,c]) G[(r,b),k] s[c,l]; the J = j block is that block with L_1 and
+    L_j exchanged on its rows and its columns, and the blocks stack along J over
+    sqrt(n).  Neither mu, xi nor the transferred vector is formed, and V, rows
+    (J, A, L1..Ln), is validated on its r columns.
     """
     d_r, d_a, d_b, d_c = psi.system.dims
     x_psi = psi.amplitudes.reshape(d_r, d_a, d_b, d_c).transpose(0, 2, 1, 3)
-    u, schmidt, _ = np.linalg.svd(x_psi.reshape(d_r * d_b, d_a * d_c), full_matrices=False)
+    x_psi = x_psi.reshape(d_r * d_b, d_a * d_c)
+    u, schmidt, _ = np.linalg.svd(x_psi, full_matrices=False)
     weights = schmidt ** 2
     rank = int(np.count_nonzero(weights > qmat.EIG_FLOOR))
     dropped = float(np.sum(weights[rank:]))
     if dropped > qmat.EIG_FLOOR:
         raise InvalidState(f"psi drops Schmidt weight {dropped} across RB|AC, above the floor "
                            f"{qmat.EIG_FLOOR}")
-    f = u[:, :rank] * schmidt[:rank]
+    g = u[:, :rank] * schmidt[:rank]
     s = sigma_pure.amplitudes.reshape(sigma_pure.system.dims)
+    d_l = s.shape[1]
+    f = g
     for _ in range(n):
         f = _kron_matrices(f, s)
 
-    # target purification of the convex-split mixture: the slot-1 term
-    # psi_{RABC_1} |0>_{L_1} x sigma on slots 2..n and its slot swaps, stacked along
-    # J; registers in the order (R, B, C1..Cn | J, A, L1..Ln), so mu's amplitude
-    # matrix across that cut is a plain reshape
-    d_l = sigma_pure.system.dims[-1]
-    slots = range(1, n + 1)
-    first, first_sys = _with_sigma_copies(
-        np.kron(psi.amplitudes, np.eye(d_l, dtype=complex)[0]),
-        qmat.relabel_system(psi.system, {"C": "C1"}).registers + (("L1", d_l),),
-        sigma_pure, slots[1:])
-    shared = ["R", "B"] + [f"C{i}" for i in slots]
-    first, first_sys = permute_vector_axes(
-        first, first_sys, shared + ["A"] + [f"L{i}" for i in slots])
-    mu_amps = np.stack(list(_slot_swaps(first.reshape(first_sys.dims),
-                                        [(1 + i, n + 2 + i) for i in slots])), axis=n + 2)
-    regs = first_sys.registers
-    mu = StateVector(RegisterSystem(regs[:n + 2] + (("J", n),) + regs[n + 2:]),
-                     mu_amps.reshape(-1) / math.sqrt(n))
-
     r = f.shape[1]
-    d_rest = mu.system.dim // f.shape[0]
+    d_rest = n * d_a * d_l ** n
     if r > d_rest:
         raise DimensionMismatch(
             f"at n={n} slots the split purification's side {d_rest} is smaller than "
             f"the {r}-dimensional support it must receive; raise the slot count"
         )
-    v = Isometry(qmat.system(("S", r)), mu.system.subsystem(mu.system.labels[n + 2:]),
-                 _polar_isometry(mu.amplitudes.reshape(-1, d_rest), f))
-    xi2_amps = (f @ v.matrix.T).reshape(-1)
-    return mu, xi2_amps, r
+    # M, with the 1/sqrt(n) of the J stack taken on psi, then K's J = 1 block
+    m = np.zeros((d_a, d_l, rank, d_l), dtype=complex)
+    psi_g = (x_psi / math.sqrt(n)).conj().T @ g  # (A, C) x rank
+    m[:, 0] = psi_g.reshape(d_a, d_c, rank).transpose(0, 2, 1) @ s
+    k = m.reshape(d_a * d_l, rank * d_l)
+    gram = s.conj().T @ s
+    for _ in range(n - 1):
+        k = _kron_matrices(k, gram)
+    # axes (A, L1..Ln | rank, L1..Ln); slot j's L axes sit at j and n + 1 + j
+    k = np.stack(list(_slot_swaps(k.reshape((d_a,) + (d_l,) * n + (rank,) + (d_l,) * n),
+                                  [(i, n + 1 + i) for i in range(1, n + 1)])))
+    k = k.reshape(d_rest, r)
+    out_sys = RegisterSystem((("J", n), ("A", d_a)) +
+                             tuple((f"L{i}", d_l) for i in range(1, n + 1)))
+    v = Isometry(qmat.system(("S", r)), out_sys, _polar_isometry(k))
+    return f, k, v.matrix
 
 
 def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTranscript:
@@ -871,8 +882,12 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
     psi x |sigma>^{xn} on Alice's registers (``_split_transfer``), so the
     target side needs room for that support only: n = 1 runs whenever it
     fits, and a slot count too small for it raises ``DimensionMismatch``.
-    The budget counts mu, the largest array that route forms.  For a psi of
-    full Schmidt rank across RB|AC the polar step's cross-overlap is
+    The convex-split purification mu is never formed: the polar step's
+    cross-overlap K is built from its one-slot Kronecker factor, the transfer
+    overlap is Tr(K V^T), and slot branch j of the transferred vector is formed
+    only when the decoder reaches it.  The budget counts the amplitudes the
+    decoder reads across all slot branches, n d_R d_A d_B (d_C d_L)^n.  For a
+    psi of full Schmidt rank across RB|AC the polar step's cross-overlap is
     rank-deficient on that support, so only the transfer overlap is fixed: the
     purified distance depends on the isometry's arbitrary completion.
     """
@@ -895,30 +910,38 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
     t.add(f"alice and bob share {n} purified copies of sigma_c",
           resources={"singlets_consumed": n})
 
-    mu, xi2_amps, _ = _split_transfer(psi, sigma_pure, n)
-    overlap = float(abs(np.vdot(mu.amplitudes, xi2_amps)))
+    f, k, v = _split_transfer(psi, sigma_pure, n)
+    overlap = float(abs(np.dot(k.reshape(-1), v.reshape(-1))))
     t.add("alice applies the transfer isometry toward the split purification",
           overlap=overlap)
     if instance.n_override is None:
         _check_bound("transfer overlap^2 against the split guarantee", overlap ** 2,
                      1.0 - params.delta, ">=", 1e-9)
 
-    # Alice measures the slot register; branches stay subnormalized
-    j_axis = mu.system.axis("J")
-    tens = xi2_amps.reshape(mu.system.dims)
-    branch_sys = mu.system.drop(["J"])
+    # Alice measures the slot register; branch j, F V_j^T with V_j V's rows at J = j,
+    # is formed only when the decoder reaches it and stays subnormalized
+    slots = range(1, n + 1)
+    branch_sys = RegisterSystem(
+        (("R", d_r), ("B", d_b)) + tuple((f"C{i}", d_c) for i in slots) + (("A", d_a),)
+        + tuple((f"L{i}", d_l) for i in slots))
+    v_slots = v.reshape(n, -1, v.shape[1])
     slot_probs: list[float] = []
 
     def slot_branches():
-        for j in range(1, n + 1):
-            amps = np.take(tens, j - 1, axis=j_axis).reshape(-1)
+        for j in slots:
+            amps = f @ v_slots[j - 1].T
             slot_probs.append(float(np.vdot(amps, amps).real))
             if slot_probs[-1] > 1e-18:
                 first = (j - 1) // b * b
                 yield amps, branch_sys, [f"C{first + i if first + i <= n else i}"
                                          for i in range(1, b + 1)]
+        # the transferred vector must keep the unit norm of xi and mu
+        norm = math.sqrt(sum(slot_probs))
+        if abs(norm - 1.0) > qmat.NORM_TOL:
+            raise InvalidState(f"transferred vector norm {norm} deviates from 1 beyond "
+                               f"{qmat.NORM_TOL}")
 
-    outcome_probs, f, p_dist = _decode(slot_branches(), params.pi_bc, psi, b)
+    outcome_probs, fid, p_dist = _decode(slot_branches(), params.pi_bc, psi, b)
     t.add(
         "alice measures the slot register and announces the block index",
         resources={"cobits_sent": params.cobits},
@@ -931,7 +954,7 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
     )
 
     bound = 3.0 * instance.eps1 + instance.eps2 + instance.gamma
-    t.achieved_fidelity = f
+    t.achieved_fidelity = fid
     t.details = {
         "name": instance.name,
         "k": params.k, "n": n, "b": b, "d_f": params.d_f,

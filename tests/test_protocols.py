@@ -477,6 +477,39 @@ def test_qsr_full_decodes_a_short_last_block(b, distance, probs):
     assert [got[str(k)] for k in range(1, b + 2)] == pytest.approx(probs, abs=1e-12)
 
 
+def _support_transfer(psi, sigma_pure, n):
+    """The oracle support route, which forms the convex-split purification mu: returns
+    mu, the cross-overlap K = Y^dag F of mu's amplitude matrix Y with the columns F of
+    xi's support, and the transferred vector F V^T, in mu's register order
+    (R, B, C1..Cn, J, A, L1..Ln)."""
+    d_r, d_a, d_b, d_c = psi.system.dims
+    x_psi = psi.amplitudes.reshape(d_r, d_a, d_b, d_c).transpose(0, 2, 1, 3)
+    u, schmidt, _ = np.linalg.svd(x_psi.reshape(d_r * d_b, d_a * d_c), full_matrices=False)
+    rank = int(np.count_nonzero(schmidt ** 2 > qmat.EIG_FLOOR))
+    f = u[:, :rank] * schmidt[:rank]
+    for _ in range(n):
+        f = protocols._kron_matrices(f, sigma_pure.amplitudes.reshape(sigma_pure.system.dims))
+    # mu: the slot-1 term psi_{RABC_1} |0>_{L_1} x sigma on slots 2..n and its slot
+    # swaps, stacked along J
+    d_l = sigma_pure.system.dims[-1]
+    slots = range(1, n + 1)
+    first, first_sys = protocols._with_sigma_copies(
+        np.kron(psi.amplitudes, np.eye(d_l, dtype=complex)[0]),
+        qmat.relabel_system(psi.system, {"C": "C1"}).registers + (("L1", d_l),),
+        sigma_pure, slots[1:])
+    shared = ["R", "B"] + [f"C{i}" for i in slots]
+    first, first_sys = qmat.permute_vector_axes(
+        first, first_sys, shared + ["A"] + [f"L{i}" for i in slots])
+    mu_amps = np.stack(list(protocols._slot_swaps(first.reshape(first_sys.dims),
+                                                  [(1 + i, n + 2 + i) for i in slots])),
+                       axis=n + 2)
+    regs = first_sys.registers
+    mu = qmat.StateVector(qmat.RegisterSystem(regs[:n + 2] + (("J", n),) + regs[n + 2:]),
+                          mu_amps.reshape(-1) / math.sqrt(n))
+    k = mu.amplitudes.reshape(f.shape[0], -1).conj().T @ f
+    return mu, k, (f @ protocols._polar_isometry(k).T).reshape(-1)
+
+
 def _dense_transfer(psi, sigma_pure, mu, n):
     """The oracle route: xi = psi x |sigma>^{xn} as a vector, pushed through the
     dense uhlmann_isometry onto mu, in mu's register order."""
@@ -510,8 +543,8 @@ def test_support_transfer_matches_dense_route_on_builtins():
         for u in unitaries:
             psi = inst.psi if u is None else _rotate_r(inst.psi, u)
             for n in range(2, 7):
-                mu, xi2, r = protocols._split_transfer(psi, sigma_pure, n)
-                assert r == _schmidt_rank(psi) * rank_sigma ** n
+                mu, k, xi2 = _support_transfer(psi, sigma_pure, n)
+                assert k.shape[1] == _schmidt_rank(psi) * rank_sigma ** n
                 dense = _dense_transfer(psi, sigma_pure, mu, n)
                 assert np.linalg.norm(xi2 - dense) <= 1e-12, (inst.name, n)
 
@@ -530,12 +563,89 @@ def test_support_transfer_generic_psi_keeps_the_overlap():
             inst = QsrInstance(psi=psi, sigma_c=sigma_c, eps1=0.5, eps2=0.25, gamma=0.25,
                                n_override=n)
             t = qsr_full(inst)
-            mu, _, r = protocols._split_transfer(inst.psi, sigma_pure, n)
-            assert r == 4 * 2 ** n
+            mu, k, _ = _support_transfer(inst.psi, sigma_pure, n)
+            assert k.shape[1] == 4 * 2 ** n
             dense = _dense_transfer(inst.psi, sigma_pure, mu, n)
             assert t.details["overlap"] == pytest.approx(abs(np.vdot(mu.amplitudes, dense)),
                                                          abs=1e-12)
             assert 0.0 <= t.details["purified_distance"] <= 1.0
+
+
+def test_factored_cross_overlap_matches_the_support_route():
+    # K is built from its one-slot Kronecker factor and its slot swaps; the oracle
+    # forms mu and takes Y^dag F
+    rng = np.random.default_rng(114)
+    unitaries = [None, random_unitary(2, rng), random_unitary(2, rng)]
+    cases = [(inst.psi if u is None else _rotate_r(inst.psi, u), inst.sigma_c, range(1, 7))
+             for inst in builtin_qsr_instances().values() for u in unitaries]
+    sigma_c = builtin_qsr_instances()["mismatched-prior"].sigma_c
+    cases += [(random_pure_state(qmat.qubits("R", "A", "B", "C"), rng), sigma_c, (2, 3))
+              for _ in range(2)]
+    for psi, sigma_c, slot_counts in cases:
+        sigma_pure = qmat.purify(sigma_c, purifier_label="L")
+        for n in slot_counts:
+            _, k, _ = protocols._split_transfer(psi, sigma_pure, n)
+            oracle = _support_transfer(psi, sigma_pure, n)[1]
+            assert k.shape == oracle.shape
+            assert np.max(np.abs(k - oracle)) <= 1e-12, n
+
+
+def test_slot_branches_stack_to_the_support_route(monkeypatch):
+    # qsr_full forms slot branch j as F V_j^T when the decoder reaches it; stacked
+    # along J the branches are the oracle's transferred vector
+    decode = protocols._decode
+    seen = []
+
+    def recording(branches, *args):
+        def copies():
+            for amps, sys_, slots in branches:
+                seen.append(np.array(amps).reshape(sys_.dims))
+                yield amps, sys_, slots
+        return decode(copies(), *args)
+
+    monkeypatch.setattr(protocols, "_decode", recording)
+    for inst in builtin_qsr_instances().values():
+        sigma_pure = qmat.purify(inst.sigma_c, purifier_label="L")
+        for override in (None, 5):
+            seen.clear()
+            n = qsr_full(replace(inst, n_override=override), budget=2 ** 18).details["n"]
+            assert len(seen) == n
+            _, _, xi2 = _support_transfer(inst.psi, sigma_pure, n)
+            # branch axes (R, B, C1..Cn, A, L1..Ln); J sits before A in mu's order
+            stacked = np.stack(seen, axis=n + 2).reshape(-1)
+            assert np.linalg.norm(stacked - xi2) <= 1e-12, (inst.name, n)
+
+
+def test_decoder_outcome_probabilities_frozen():
+    # the branches of the block mixture share one amplitude array, so a decoder that
+    # applied the test in place would move these values
+    inst = builtin_qsr_instances()["mismatched-prior"]
+    params = qsr_parameters(inst)
+    frozen = {
+        1: [0.99609375, 0.0039062499999998924],
+        2: [0.9954427083333333, 0.0044759114583332125, 8.138020833332891e-05],
+        3: [0.9952256944444449, 0.004683883101851728, 8.872703269675454e-05,
+            1.6954210069443071e-06],
+        4: [0.9951171875000003, 0.004787868923610985, 9.310687029802744e-05,
+            1.8013848198783273e-06, 3.532127097800544e-08],
+    }
+    for b, probs in frozen.items():
+        got = qsr_decoder_p1(inst, b, params).outcome_probs
+        assert list(got) == list(range(1, b + 2))
+        assert [got[k] for k in got] == pytest.approx(probs, abs=1e-12)
+
+
+def test_qsr_full_forms_no_array_of_the_split_purification_size():
+    # at n = 7 mu would hold 7 * 8 * 4^7 amplitudes (14.7 MB); the transfer forms K
+    # and V (3.7 MB each) and one slot branch (2.1 MB) at a time
+    inst = replace(builtin_qsr_instances()["mismatched-prior"], n_override=7)
+    tracemalloc.start()
+    try:
+        qsr_full(inst, budget=2 ** 23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_transfer_overlap_is_marginal_fidelity_down_to_one_slot():
@@ -545,7 +655,7 @@ def test_transfer_overlap_is_marginal_fidelity_down_to_one_slot():
         sigma_pure = qmat.purify(inst.sigma_c, purifier_label="L")
         for n in (1, 2):
             t = qsr_full(replace(inst, n_override=n))
-            mu, _, _ = protocols._split_transfer(inst.psi, sigma_pure, n)
+            mu = _support_transfer(inst.psi, sigma_pure, n)[0]
             xi_amps, xi_sys = protocols._with_sigma_copies(
                 inst.psi.amplitudes, inst.psi.system.registers, sigma_pure, range(1, n + 1))
             shared = ["R", "B"] + [f"C{i}" for i in range(1, n + 1)]
