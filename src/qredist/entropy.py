@@ -31,6 +31,8 @@ from .qmat import (
 SUPPORT_TOL = 1e-10
 # commutator trace norms at or below this route to the classical solver
 COMMUTE_TOL = 1e-9
+# relative slack on the norm bounds that decide a commutation test without an SVD
+_NORM_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -92,12 +94,18 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> EntropicVa
     support of sigma; sub-threshold kernel mass is treated as zero.
     """
     _require_same_registers(rho, sigma, "relative entropy")
-    evs, vecs_s = np.linalg.eigh(sigma.matrix)
-    if _kernel_mass(rho.matrix, evs, vecs_s) > SUPPORT_TOL:
+    evs, vecs = np.linalg.eigh(sigma.matrix)
+    return _relative_entropy_eig(rho, evs, vecs)
+
+
+def _relative_entropy_eig(rho: DensityOperator, evs: np.ndarray,
+                          vecs: np.ndarray) -> EntropicValue:
+    """D(rho||sigma) from sigma's eigensystem: eigenvalues evs, eigenvector columns vecs."""
+    if _kernel_mass(rho.matrix, evs, vecs) > SUPPORT_TOL:
         return EntropicValue.infinite()
     evr = np.linalg.eigvalsh(rho.matrix)
     tr_rho_log_rho = float(np.sum(evr[evr > EIG_FLOOR] * np.log2(evr[evr > EIG_FLOOR])))
-    weights = _spectral_weights(vecs_s, rho.matrix)
+    weights = _spectral_weights(vecs, rho.matrix)
     mask = evs > EIG_FLOOR
     tr_rho_log_sigma = float(np.sum(weights[mask] * np.log2(evs[mask])))
     return EntropicValue(tr_rho_log_rho - tr_rho_log_sigma)
@@ -317,6 +325,18 @@ def _threshold_test(rho_mat: np.ndarray, sigma_mat: np.ndarray, eps: float):
     return beta, pi
 
 
+def _commutes(comm: np.ndarray) -> bool:
+    """trace_norm(comm) <= COMMUTE_TOL, decided from ||C||_F <= ||C||_1 <= sqrt(d) ||C||_F;
+    the SVD runs only when the tolerance falls inside that band, widened by a relative margin
+    far above the rounding of either norm, so no decision differs from the SVD's."""
+    fro = float(np.linalg.norm(comm))
+    if fro > COMMUTE_TOL * (1.0 + _NORM_MARGIN):
+        return False
+    if math.sqrt(comm.shape[0]) * fro < COMMUTE_TOL * (1.0 - _NORM_MARGIN):
+        return True
+    return trace_norm(comm) <= COMMUTE_TOL
+
+
 def _test_value(beta: float | None) -> EntropicValue:
     """-log2 beta in bits, infinite at beta = 0 (or None); beta = 1 reads +0.0, not -0.0."""
     if beta is None or beta <= 1e-300:
@@ -337,7 +357,7 @@ def optimal_hypothesis_test(
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     _require_same_registers(rho, sigma, "hypothesis testing")
     rm, sm = rho.matrix, sigma.matrix
-    if trace_norm(rm @ sm - sm @ rm) <= COMMUTE_TOL:
+    if _commutes(rm @ sm - sm @ rm):
         p, q, joint = _joint_eigensystem(rm, sm)
         beta, weights = _classical_np_test(p, q, eps)
         return _test_value(beta), (joint * weights) @ joint.conj().T

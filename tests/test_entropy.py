@@ -5,11 +5,14 @@ import pytest
 from scipy.optimize import linprog
 from scipy.stats import norm
 
+from qredist import entropy as entropy_module
 from qredist import qmat
 from qredist.entropy import (
+    COMMUTE_TOL,
     EIG_FLOOR,
     EntropicValue,
     _classical_np_test,
+    _commutes,
     _spectral_weights,
     _threshold_test,
     conditional_entropy,
@@ -352,6 +355,51 @@ def test_unreachable_target_returns_identity_at_once(eigh_calls):
     assert eigh_calls[0] <= 3
     assert np.array_equal(pi, np.eye(2))
     assert d.finite and d.value == 0.0 and math.copysign(1.0, d.value) == 1.0
+
+
+def commutator_cases():
+    """(name, C) on d = 2..8: commutators of seeded pairs, from far apart to nearly commuting,
+    and anti-Hermitian C = iH with ||C||_1 at 0.5, 0.99, 1.01 and 2 x COMMUTE_TOL, whose
+    spectra run from one +-pair (||C||_F near ||C||_1) to flat (||C||_F = ||C||_1 / sqrt d)."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for d in range(2, 9):
+        sys_ = qmat.system(("Q", d))
+        rho, sigma = random_density(sys_, rng).matrix, random_density(sys_, rng).matrix
+        u = random_unitary(d, rng)
+        shared = (u * rng.dirichlet(np.ones(d))) @ u.conj().T
+        cases.append((f"seeded-{d}", rho @ sigma - sigma @ rho))
+        for t in (0.0, 1e-11, 1e-10, 1e-9, 1e-8):
+            near = (u * rng.dirichlet(np.ones(d))) @ u.conj().T + t * rho
+            cases.append((f"near-{d}-{t}", near @ shared - shared @ near))
+        spectra = {"one-pair": np.r_[1.0, -1.0, np.zeros(d - 2)],
+                   "flat": np.where(np.arange(d) % 2, -1.0, 1.0),
+                   "gaussian": rng.standard_normal(d)}
+        for shape, spec in spectra.items():
+            h = (u * spec) @ u.conj().T
+            h /= np.sum(np.abs(spec))
+            for k in (0.5, 0.99, 1.01, 2.0):
+                cases.append((f"{shape}-{d}-{k}", 1j * k * COMMUTE_TOL * h))
+    return cases
+
+
+def test_commutation_test_decides_as_the_trace_norm(monkeypatch):
+    svds = [0]
+
+    def counted(mat, _inner=qmat.trace_norm):
+        svds[0] += 1
+        return _inner(mat)
+
+    monkeypatch.setattr(entropy_module, "trace_norm", counted)
+    cases = commutator_cases()
+    decided_by_bounds = 0
+    for name, comm in cases:
+        svds[0] = 0
+        assert _commutes(comm) == (qmat.trace_norm(comm) <= COMMUTE_TOL), name
+        decided_by_bounds += svds[0] == 0
+        if name.startswith("seeded-"):
+            assert svds[0] == 0, name  # a generic pair never needs the SVD
+    assert decided_by_bounds >= len(cases) // 2
 
 
 @pytest.mark.parametrize("quantity", [

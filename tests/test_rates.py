@@ -14,10 +14,11 @@ from qredist.entropy import (
     conditional_entropy,
     conditional_mutual_information,
     mutual_information,
+    relative_entropy,
     relative_entropy_of_coherence,
     von_neumann_entropy,
 )
-from qredist.qmat import DensityOperator, DimensionMismatch, StateVector
+from qredist.qmat import DensityOperator, DimensionMismatch, InvalidState, StateVector
 from qredist.rates import (
     COBIT_UNITS,
     QUBIT_UNITS,
@@ -262,8 +263,8 @@ def test_rate_report_accepts_any_register_order():
 
 
 def test_rate_report_decomposes_rbc_at_most_twice(monkeypatch):
-    # S(RBC) comes from the 4 x 4 marginal on A; only the dense product form
-    # (the eigh of rho_RB x sigma and the eigvalsh of rho_RBC) works at d_RBC
+    # S(RBC) comes from the 4 x 4 marginal on A; only the product form's eigvalsh
+    # of rho_RBC works at d_RBC (rho_RB x sigma's eigensystem comes from d_RB)
     dims_seen = []
     for name in ("eigvalsh", "eigh"):
         def counted(a, *args, _kernel=getattr(np.linalg, name), **kwargs):
@@ -273,6 +274,83 @@ def test_rate_report_decomposes_rbc_at_most_twice(monkeypatch):
     psi = random_rabc(11, dims=(4, 4, 4, 4))
     rate_report(psi)
     assert 0 < dims_seen.count(64) <= 2, dims_seen
+
+
+def _product_form_cases():
+    """(psi, sigma_c or None) for the product-form oracle: seeded Haar states at 10 and 11
+    qubits, registers stored as C, B, A, R, a trivial C and a custom diagonal sigma_c."""
+    rng = np.random.default_rng(16)
+    shuffled = qmat.permute_vector(random_rabc(21, dims=(4, 2, 4, 2)), ["C", "B", "A", "R"])
+    sigma = DensityOperator(qmat.system(("C", 4)), np.diag(rng.dirichlet(np.ones(4))))
+    return {
+        "haar-8844": (random_rabc(17, dims=(8, 8, 4, 4)), None),
+        "haar-8884": (random_rabc(18, dims=(8, 8, 8, 4)), None),
+        "stored-CBAR": (shuffled, None),
+        "trivial-C": (random_rabc(19, dims=(4, 2, 4, 1)), None),
+        "custom-sigma": (random_rabc(20, dims=(2, 4, 4, 4)), sigma),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_product_form_cases()))
+def test_product_form_eigensystem_matches_dense_route(monkeypatch, case):
+    # every relative entropy in rate_forms takes its sigma's eigensystem as known; each
+    # must equal the dense relative_entropy against the explicit sigma it stands for
+    psi, sigma_c = _product_form_cases()[case]
+    seen = []
+
+    def spied(rho, evs, vecs, _inner=rates._relative_entropy_eig):
+        value = _inner(rho, evs, vecs)
+        seen.append(value)
+        return value
+
+    monkeypatch.setattr(rates, "_relative_entropy_eig", spied)
+    rates.incoherent_rate_forms(psi, sigma_c)
+    rho_rbc = qmat.vector_marginal(psi, ["R", "B", "C"])
+    rho_rb = qmat.vector_marginal(psi, ["R", "B"])
+    rho_bc = qmat.vector_marginal(psi, ["B", "C"])
+    rho_b = qmat.vector_marginal(psi, ["B"])
+    sigma = dephase(qmat.vector_marginal(psi, ["C"])) if sigma_c is None else sigma_c
+    want = [
+        relative_entropy(rho_bc, dephase(rho_bc)),
+        relative_entropy(rho_b, dephase(rho_b)),
+        relative_entropy(rho_rbc, qmat.tensor(rho_rb, sigma)),
+        relative_entropy(dephase(rho_bc), qmat.tensor(dephase(rho_b), sigma)),
+    ]
+    assert len(seen) == len(want)
+    for got, ref in zip(seen, want):
+        assert got.finite and ref.finite
+        assert got.value == pytest.approx(ref.value, abs=1e-12), case
+    if case == "haar-8884":
+        # rho_RB has rank d_A d_C = 32 of 64, so the product's kernel is not empty
+        assert np.sum(np.linalg.eigvalsh(rho_rb.matrix) > qmat.EIG_FLOOR) == 32
+
+
+def test_product_form_rejects_sigma_without_support(tmp_path, capsys):
+    # sigma_c with no weight on |0>, where rho_C has weight: D(rho_RBC || rho_RB x sigma) = inf
+    psi = random_rabc(22, dims=(2, 2, 2, 3))
+    sigma = DensityOperator(qmat.system(("C", 3)), np.diag([0.0, 0.5, 0.5]))
+    with pytest.raises(InvalidState, match="does not support"):
+        rate_report(psi, sigma)
+    psi_path, sigma_path = str(tmp_path / "psi.json"), str(tmp_path / "sigma.json")
+    save_state(psi_path, psi)
+    save_state(sigma_path, sigma)
+    assert main(["rates", psi_path, "--sigma-c", sigma_path]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_rate_report_never_decomposes_the_product_densely(monkeypatch):
+    # no sigma is decomposed at d_RBC: the largest eigh is that of rho_RB (or of a
+    # dephased BC marginal's size), so the dense rho_RB x sigma (256 x 256) would fail this
+    psi = random_rabc(23, dims=(8, 8, 8, 4))
+    dims_seen = []
+
+    def counted(a, *args, _kernel=np.linalg.eigh, **kwargs):
+        dims_seen.append(np.shape(a)[-1])
+        return _kernel(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rate_report(psi)
+    assert dims_seen and max(dims_seen) <= max(8 * 8, 8 * 4), dims_seen
 
 
 @pytest.mark.parametrize("labels", [("R", "B", "C"), ("R", "B"), ("B", "C"), ("B",)])
