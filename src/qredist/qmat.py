@@ -300,14 +300,22 @@ def marginal_matrix(mat: np.ndarray, dims: Sequence[int], keep_axes: Sequence[in
     return np.einsum("ajbj->ab", t)
 
 
+def vector_factor_matrix(
+    amps: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]
+) -> np.ndarray:
+    """Raw amplitudes as a matrix X with rows over the listed axes, in that order, and columns
+    over the rest, so that X X^dag is the marginal on the listed axes."""
+    keep = list(keep_axes)
+    rest = [i for i in range(len(dims)) if i not in keep]
+    t = np.transpose(amps.reshape(dims), keep + rest)
+    return t.reshape(_prod(dims[a] for a in keep), -1)
+
+
 def vector_marginal_matrix(
     amps: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]
 ) -> np.ndarray:
     """Marginal of raw, possibly subnormalized amplitudes on the listed axes, in that order."""
-    keep = list(keep_axes)
-    rest = [i for i in range(len(dims)) if i not in keep]
-    t = np.transpose(amps.reshape(dims), keep + rest)
-    x = t.reshape(_prod(dims[a] for a in keep), -1)
+    x = vector_factor_matrix(amps, dims, keep_axes)
     return x @ x.conj().T
 
 

@@ -20,7 +20,12 @@ from typing import Any
 import numpy as np
 
 from .coherence import dephase
-from .entropy import _relative_entropy_eig, entropy_of_probs, von_neumann_entropy
+from .entropy import (
+    _relative_entropy_eig,
+    _relative_entropy_factor,
+    entropy_of_probs,
+    von_neumann_entropy,
+)
 from .protocols import QsrInstance, check_free_sigma_c, qsr_parameters
 from .qmat import (
     DensityOperator,
@@ -32,6 +37,7 @@ from .qmat import (
     permute_vector,
     relabel_vector,
     tensor_vectors,
+    vector_factor_matrix,
     vector_marginal,
 )
 
@@ -183,8 +189,11 @@ class _PureMarginals:
         a dephased state is its diagonal in the computational basis, and rho_RB x sigma has
         eigenvalues kron(e, s) and eigenvectors kron(U, 1_C) from (e, U) = eigh(rho_RB) and
         the diagonal s of the free sigma (diagonal up to COHERENCE_TOL; the form is taken
-        against s).  The product form still takes the spectrum of the full rho_RBC and its
-        own support check, so it stays independent of the Schmidt-side entropies above.
+        against s).  The product form never forms rho_RBC: it takes rho_RBC's spectrum from
+        the singular values of psi's factor X on (RB, C | rest), rho_RBC = X X^dag, and its
+        weights and support check from U^dag X.  Those singular values come from an SVD of
+        X itself, not from the marginal on the rest that S(RBC) above decomposes, so the
+        product form stays independent of the Schmidt-side entropies.
         """
         cmi = self.cmi()
         rho_bc, rho_b = self.rho("B", "C"), self.rho("B")
@@ -201,8 +210,10 @@ class _PureMarginals:
         # the oracle that would catch a wrong entropy above
         s = np.diagonal(self.free_sigma(sigma_c).matrix).real
         e, u = np.linalg.eigh(self.rho("R", "B").matrix)
-        d1 = _relative_entropy_eig(self.rho("R", "B", "C"), np.kron(e, s),
-                                   np.kron(u, np.eye(len(s))))
+        sys_ = self.psi.system
+        x = vector_factor_matrix(self.psi.amplitudes, sys_.dims,
+                                 [sys_.axis(lab) for lab in ("R", "B", "C")])
+        d1 = _relative_entropy_factor(x.reshape(len(e), len(s), -1), e, u, s)
         d2 = _relative_entropy_eig(dephase(rho_bc), np.kron(p_b, s), eye_bc)
         if not (d1.finite and d2.finite):
             raise InvalidState("reference state sigma_c does not support the C marginal")

@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qredist import qmat, rates
+from qredist import entropy, qmat, rates
 from qredist.cli import main
 from qredist.protocols import builtin_qsr_instances
 from qredist.coherence import NotFreeOperation, dephase
@@ -262,48 +263,55 @@ def test_rate_report_accepts_any_register_order():
                 assert got[name] == pytest.approx(val, abs=1e-12), (psi.system, order, name)
 
 
-def test_rate_report_decomposes_rbc_at_most_twice(monkeypatch):
-    # S(RBC) comes from the 4 x 4 marginal on A; only the product form's eigvalsh
-    # of rho_RBC works at d_RBC (rho_RB x sigma's eigensystem comes from d_RB)
-    dims_seen = []
-    for name in ("eigvalsh", "eigh"):
+def test_rate_report_decomposes_no_matrix_of_rbc_size(monkeypatch):
+    # rho_RBC is never formed: S(RBC) comes from the 4 x 4 marginal on A and the product
+    # form from psi's 64 x 4 factor, so no decomposition or validation Cholesky has both
+    # sides >= d_RBC = 64
+    shapes = []
+    for name in ("eigvalsh", "eigh", "svd", "cholesky"):
         def counted(a, *args, _kernel=getattr(np.linalg, name), **kwargs):
-            dims_seen.append(np.shape(a)[-1])
+            shapes.append(np.shape(a)[-2:])
             return _kernel(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     psi = random_rabc(11, dims=(4, 4, 4, 4))
     rate_report(psi)
-    assert 0 < dims_seen.count(64) <= 2, dims_seen
+    assert shapes and all(min(shape) < 64 for shape in shapes), shapes
 
 
 def _product_form_cases():
     """(psi, sigma_c or None) for the product-form oracle: seeded Haar states at 10 and 11
-    qubits, registers stored as C, B, A, R, a trivial C and a custom diagonal sigma_c."""
+    qubits, registers stored as C, B, A, R, a trivial C, a custom diagonal sigma_c, a state
+    on R, B, C alone (rho_RBC pure) and one with a fifth register E stored between A and B."""
     rng = np.random.default_rng(16)
     shuffled = qmat.permute_vector(random_rabc(21, dims=(4, 2, 4, 2)), ["C", "B", "A", "R"])
     sigma = DensityOperator(qmat.system(("C", 4)), np.diag(rng.dirichlet(np.ones(4))))
+    no_a = random_pure_state(qmat.system(("R", 4), ("B", 4), ("C", 4)), rng)
+    extra = random_pure_state(
+        qmat.system(("R", 2), ("A", 2), ("E", 3), ("B", 4), ("C", 2)), rng)
     return {
         "haar-8844": (random_rabc(17, dims=(8, 8, 4, 4)), None),
         "haar-8884": (random_rabc(18, dims=(8, 8, 8, 4)), None),
         "stored-CBAR": (shuffled, None),
         "trivial-C": (random_rabc(19, dims=(4, 2, 4, 1)), None),
         "custom-sigma": (random_rabc(20, dims=(2, 4, 4, 4)), sigma),
+        "no-A": (no_a, None),
+        "extra-E": (extra, None),
     }
 
 
 @pytest.mark.parametrize("case", sorted(_product_form_cases()))
 def test_product_form_eigensystem_matches_dense_route(monkeypatch, case):
-    # every relative entropy in rate_forms takes its sigma's eigensystem as known; each
-    # must equal the dense relative_entropy against the explicit sigma it stands for
+    # every relative entropy in rate_forms takes its sigma's eigensystem as known, and the
+    # product form takes rho_RBC from psi's factor; each must equal the dense
+    # relative_entropy between the explicit states it stands for
     psi, sigma_c = _product_form_cases()[case]
     seen = []
-
-    def spied(rho, evs, vecs, _inner=rates._relative_entropy_eig):
-        value = _inner(rho, evs, vecs)
-        seen.append(value)
-        return value
-
-    monkeypatch.setattr(rates, "_relative_entropy_eig", spied)
+    for name in ("_relative_entropy_eig", "_relative_entropy_factor"):
+        def spied(*args, _inner=getattr(rates, name)):
+            value = _inner(*args)
+            seen.append(value)
+            return value
+        monkeypatch.setattr(rates, name, spied)
     rates.incoherent_rate_forms(psi, sigma_c)
     rho_rbc = qmat.vector_marginal(psi, ["R", "B", "C"])
     rho_rb = qmat.vector_marginal(psi, ["R", "B"])
@@ -336,6 +344,50 @@ def test_product_form_rejects_sigma_without_support(tmp_path, capsys):
     save_state(sigma_path, sigma)
     assert main(["rates", psi_path, "--sigma-c", sigma_path]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("weight, finite", [(1e-12, True), (1e-8, False)])
+def test_product_form_support_check_at_the_tolerance(tmp_path, capsys, weight, finite):
+    # sigma_c has no weight on |0>, where rho_C has `weight`, below or above SUPPORT_TOL: the
+    # factored support check decides as the dense _kernel_mass against the explicit product
+    t = random_rabc(24, dims=(2, 2, 2, 3)).tensorized().copy()
+    t[..., 0] *= math.sqrt(weight) / np.linalg.norm(t[..., 0])
+    t[..., 1:] *= math.sqrt(1.0 - weight) / np.linalg.norm(t[..., 1:])
+    psi = StateVector(qmat.system(("R", 2), ("A", 2), ("B", 2), ("C", 3)), t)
+    s = np.array([0.0, 0.5, 0.5])
+    sigma = DensityOperator(qmat.system(("C", 3)), np.diag(s))
+    rho_rb = qmat.vector_marginal(psi, ["R", "B"])
+    evs, vecs = np.linalg.eigh(qmat.tensor(rho_rb, sigma).matrix)
+    rho_rbc = qmat.vector_marginal(psi, ["R", "B", "C"])
+    dense_finite = entropy._kernel_mass(rho_rbc.matrix, evs, vecs) <= entropy.SUPPORT_TOL
+    e, u = np.linalg.eigh(rho_rb.matrix)
+    x = qmat.vector_factor_matrix(psi.amplitudes, psi.system.dims, [0, 2, 3])
+    factored = entropy._relative_entropy_factor(x.reshape(4, 3, -1), e, u, s)
+    assert factored.finite == dense_finite == finite
+    psi_path, sigma_path = str(tmp_path / "psi.json"), str(tmp_path / "sigma.json")
+    save_state(psi_path, psi)
+    save_state(sigma_path, sigma)
+    code = main(["rates", psi_path, "--sigma-c", sigma_path, "--format", "json"])
+    out = capsys.readouterr().out
+    if finite:
+        assert code == 0
+        assert all(math.isfinite(v) for v in json.loads(out)["rates"].values())
+    else:
+        assert code == 2 and out == ""
+
+
+def test_rate_report_holds_no_matrix_of_rbc_size():
+    # a 13-qubit (4, 4, 32, 16) report: rho_RBC would be 2048 x 2048 (64 MB), and a report
+    # that forms, validates and decomposes it peaks above 250 MB; the largest marginal a
+    # report needs is the 512 x 512 rho_BC
+    psi = random_rabc(25, dims=(4, 4, 32, 16))
+    tracemalloc.start()
+    try:
+        rate_report(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20, peak
 
 
 def test_rate_report_never_decomposes_the_product_densely(monkeypatch):
