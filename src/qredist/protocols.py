@@ -37,10 +37,10 @@ from .qmat import (
     fidelity,
     fidelity_matrices,
     partial_trace,
-    permute_vector_axes,
     purified_distance,
     purify,
     tensor,
+    vector_factor_matrix,
     vector_marginal,
 )
 
@@ -503,13 +503,9 @@ def uhlmann_isometry(
     if not rest_b or not rest_c:
         raise RegisterError("both states need registers outside the shared part")
 
-    def matricize(psi: StateVector, rest: list[str]) -> np.ndarray:
-        amps, sys_ = permute_vector_axes(psi.amplitudes, psi.system, shared + rest)
-        d_rest = sys_.dim_of(rest)
-        return amps.reshape(-1, d_rest)
-
-    y = matricize(psi_ab, rest_b)
-    x = matricize(psi_ac, rest_c)
+    y, x = (vector_factor_matrix(psi.amplitudes, psi.system.dims,
+                                 [psi.system.axis(lab) for lab in shared])
+            for psi in (psi_ab, psi_ac))
     db, dc = y.shape[1], x.shape[1]
     if dc > db:
         raise DimensionMismatch(
@@ -823,9 +819,8 @@ def _split_transfer(
     sqrt(n).  Neither mu, xi nor the transferred vector is formed, and V, rows
     (J, A, L1..Ln), is validated on its r columns.
     """
-    d_r, d_a, d_b, d_c = psi.system.dims
-    x_psi = psi.amplitudes.reshape(d_r, d_a, d_b, d_c).transpose(0, 2, 1, 3)
-    x_psi = x_psi.reshape(d_r * d_b, d_a * d_c)
+    _, d_a, _, d_c = psi.system.dims
+    x_psi = vector_factor_matrix(psi.amplitudes, psi.system.dims, [0, 2])
     u, schmidt, _ = np.linalg.svd(x_psi, full_matrices=False)
     weights = schmidt ** 2
     rank = int(np.count_nonzero(weights > qmat.EIG_FLOOR))

@@ -311,14 +311,6 @@ def vector_factor_matrix(
     return t.reshape(_prod(dims[a] for a in keep), -1)
 
 
-def vector_marginal_matrix(
-    amps: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]
-) -> np.ndarray:
-    """Marginal of raw, possibly subnormalized amplitudes on the listed axes, in that order."""
-    x = vector_factor_matrix(amps, dims, keep_axes)
-    return x @ x.conj().T
-
-
 def apply_subsystem_matrix(
     amps: np.ndarray,
     sys_: RegisterSystem,
@@ -409,7 +401,8 @@ def vector_marginal(psi: StateVector, keep: Sequence[str]) -> DensityOperator:
     without forming the global matrix."""
     axes = [psi.system.axis(l) for l in keep]
     sub = RegisterSystem(tuple(psi.system.registers[a] for a in axes))
-    return DensityOperator(sub, vector_marginal_matrix(psi.amplitudes, psi.system.dims, axes))
+    x = vector_factor_matrix(psi.amplitudes, psi.system.dims, axes)
+    return DensityOperator(sub, x @ x.conj().T)
 
 
 def permute_registers(rho: DensityOperator, new_order: Sequence[str]) -> DensityOperator:

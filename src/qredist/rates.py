@@ -19,15 +19,16 @@ from typing import Any
 
 import numpy as np
 
-from .coherence import dephase
 from .entropy import (
-    _relative_entropy_eig,
     _relative_entropy_factor,
+    _relative_entropy_spectral,
     entropy_of_probs,
+    relative_entropy_of_coherence,
     von_neumann_entropy,
 )
 from .protocols import QsrInstance, check_free_sigma_c, qsr_parameters
 from .qmat import (
+    EIG_FLOOR,
     DensityOperator,
     InvalidState,
     RegisterError,
@@ -176,45 +177,47 @@ class _PureMarginals:
         """Relative entropy of coherence of the marginal on X."""
         return self.diagonal_entropy(*labels) - self.entropy(*labels)
 
-    def free_sigma(self, sigma_c: DensityOperator | None) -> DensityOperator:
+    def free_sigma(self, sigma_c: DensityOperator | None) -> np.ndarray:
+        """The diagonal of the free reference state: sigma_c's, or by default rho_C's, which
+        is the diagonal of the dephased C marginal."""
         if sigma_c is None:
-            return dephase(self.rho("C"))
+            return np.diagonal(self.rho("C").matrix).real
         check_free_sigma_c(sigma_c, self.psi.system.dim_of(["C"]))
-        return sigma_c
+        return np.diagonal(sigma_c.matrix).real
 
     def rate_forms(self, sigma_c: DensityOperator | None) -> tuple[float, float, float]:
         """The entropy, relative-entropy and product forms of the incoherent rate.
 
-        Every reference state here has a known eigensystem, so none is decomposed densely:
-        a dephased state is its diagonal in the computational basis, and rho_RB x sigma has
-        eigenvalues kron(e, s) and eigenvectors kron(U, 1_C) from (e, U) = eigh(rho_RB) and
-        the diagonal s of the free sigma (diagonal up to COHERENCE_TOL; the form is taken
-        against s).  The product form never forms rho_RBC: it takes rho_RBC's spectrum from
-        the singular values of psi's factor X on (RB, C | rest), rho_RBC = X X^dag, and its
-        weights and support check from U^dag X.  Those singular values come from an SVD of
-        X itself, not from the marginal on the rest that S(RBC) above decomposes, so the
-        product form stays independent of the Schmidt-side entropies.
+        A dephased state is its diagonal, so no dephased matrix is formed.  The
+        relative-entropy form takes R_c(rho) = D(rho||dephased rho) as the entropy of rho's
+        diagonal minus a fresh S(rho), so rho_BC is formed and validated for its diagonal
+        and decomposed once for this form.  The product form is D(rho_RBC||rho_RB x sigma)
+        minus the classical relative entropy of rho_BC's diagonal against kron(rho_B's
+        diagonal, s), for s the diagonal of the free sigma (diagonal up to COHERENCE_TOL; the
+        form is taken against s).  Its first term never forms rho_RBC: rho_RB x sigma has
+        eigenvalues kron(e, s) and eigenvectors kron(U, 1_C) from (e, U) = eigh(rho_RB),
+        rho_RBC's spectrum is the squared singular values of psi's factor X on
+        (RB, C | rest), rho_RBC = X X^dag, and its weights and support check come from
+        U^dag X.  That SVD is of X itself, not of the marginal on the rest that S(RBC) above
+        decomposes, so the product form stays independent of the Schmidt-side entropies.
         """
         cmi = self.cmi()
         rho_bc, rho_b = self.rho("B", "C"), self.rho("B")
         form_entropy = cmi + self.coherence("B", "C") - self.coherence("B")
-        p_bc = np.diagonal(rho_bc.matrix).real
-        p_b = np.diagonal(rho_b.matrix).real
-        eye_bc, eye_b = np.eye(len(p_bc)), np.eye(len(p_b))
-        form_relent = (
-            cmi
-            + _relative_entropy_eig(rho_bc, p_bc, eye_bc).value
-            - _relative_entropy_eig(rho_b, p_b, eye_b).value
-        )
+        form_relent = (cmi + relative_entropy_of_coherence(rho_bc)
+                       - relative_entropy_of_coherence(rho_b))
 
         # the oracle that would catch a wrong entropy above
-        s = np.diagonal(self.free_sigma(sigma_c).matrix).real
+        s = self.free_sigma(sigma_c)
         e, u = np.linalg.eigh(self.rho("R", "B").matrix)
         sys_ = self.psi.system
         x = vector_factor_matrix(self.psi.amplitudes, sys_.dims,
                                  [sys_.axis(lab) for lab in ("R", "B", "C")])
         d1 = _relative_entropy_factor(x.reshape(len(e), len(s), -1), e, u, s)
-        d2 = _relative_entropy_eig(dephase(rho_bc), np.kron(p_b, s), eye_bc)
+        p_bc = np.diagonal(rho_bc.matrix).real
+        q_bc = np.kron(np.diagonal(rho_b.matrix).real, s)
+        kernel_mass = float(np.max(p_bc[q_bc <= EIG_FLOOR], initial=0.0))
+        d2 = _relative_entropy_spectral(p_bc, p_bc, kernel_mass, q_bc)
         if not (d1.finite and d2.finite):
             raise InvalidState("reference state sigma_c does not support the C marginal")
         form_product = d1.value - d2.value
@@ -275,9 +278,8 @@ def incoherent_qsr_rate(psi: StateVector, sigma_c: DensityOperator | None = None
 
 def incoherent_schumacher_rate(rho_c: DensityOperator) -> float:
     """Compression rate with incoherent decoding: mean of S and dephased S."""
-    return 0.5 * (
-        von_neumann_entropy(rho_c) + von_neumann_entropy(dephase(rho_c))
-    )
+    return 0.5 * (von_neumann_entropy(rho_c)
+                  + entropy_of_probs(np.diagonal(rho_c.matrix).real))
 
 
 def incoherent_splitting_rate(psi: StateVector) -> float:

@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 from qredist import entropy as entropy_module
 from qredist import qmat
+from qredist.coherence import dephase
 from qredist.entropy import (
     COMMUTE_TOL,
     EIG_FLOOR,
@@ -29,6 +30,7 @@ from qredist.entropy import (
     restricted_hypothesis_testing,
     von_neumann_entropy,
 )
+from qredist.protocols import builtin_qsr_instances
 from qredist.qmat import DensityOperator, InvalidState, StateVector
 from qredist.sampling import random_density, random_pure_state, random_unitary
 
@@ -454,6 +456,38 @@ def test_restricted_subnormalized_edge():
     # the early return still demands matching registers
     with pytest.raises(qmat.DimensionMismatch):
         restricted_hypothesis_test(rho, qmat.relabel_density(sigma, {"Q": "P"}), 0.1)
+
+
+def _restricted_pairs():
+    """(rho, sigma, eps): the built-ins' free-test pairs (rho_BC, rho_B x sigma_C, eps2^4),
+    seeded random pairs at d = 2..8, and subnormalized pairs whose target 1 - eps is out of
+    reach and within reach."""
+    pairs = []
+    for inst in builtin_qsr_instances().values():
+        rho_b = qmat.vector_marginal(inst.psi, ["B"])
+        pairs.append((qmat.vector_marginal(inst.psi, ["B", "C"]),
+                      qmat.tensor(rho_b, inst.sigma_c), inst.eps2 ** 4))
+    rng = np.random.default_rng(18)
+    for d in range(2, 9):
+        sys_ = qmat.system(("Q", d))
+        for eps in (0.01, 0.1, 0.3, 0.7):
+            pairs.append((random_density(sys_, rng), random_density(sys_, rng), eps))
+    sys_ = qmat.system(("Q", 3))
+    sub = DensityOperator(sys_, 0.6 * random_density(sys_, rng).matrix, subnormalized=True)
+    for eps in (0.1, 0.5):
+        pairs.append((sub, random_density(sys_, rng), eps))
+        pairs.append((sub, DensityOperator(sys_, np.eye(3) / 3.0), eps))
+    return pairs
+
+
+def test_restricted_test_equals_the_dense_route_on_dephased_states():
+    # the route restricted_hypothesis_test took before it read diagonals: dephase both states
+    # and run the unrestricted test; the classical test on the diagonals matches it exactly
+    for rho, sigma, eps in _restricted_pairs():
+        want_value, want_pi = optimal_hypothesis_test(dephase(rho), dephase(sigma), eps)
+        got_value, got_pi = restricted_hypothesis_test(rho, sigma, eps)
+        assert got_value == want_value, (rho.system, eps)
+        assert np.array_equal(got_pi, want_pi) and got_pi.dtype == want_pi.dtype
 
 
 def test_conditional_entropy_bell():

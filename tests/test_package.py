@@ -139,3 +139,50 @@ def test_raw_bound_raise_is_flagged():
     assert _raw_bound_raises({"qmat.py": helper, "rates.py": raw}) == [
         "rates.py:1: class BoundViolation", "rates.py:6: raise ArithmeticError",
         "rates.py:8: raise BoundViolation"]
+
+
+# a module may import only package modules of lower rank
+_LAYER_RANK = {"qmat": 0, "entropy": 1, "coherence": 1, "sampling": 1, "stateio": 1,
+               "protocols": 2, "rates": 3, "cli": 4, "__init__": 4}
+
+
+def _package_imports(source: str) -> set[str]:
+    """Package modules a module imports anywhere, function bodies included; a name imported
+    from the package itself counts as ``__init__`` unless it is a module."""
+    dotted = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = f"qredist.{node.module or ''}".rstrip(".") if node.level else node.module
+            dotted += [f"{base}.{alias.name}" for alias in node.names]
+    found = set()
+    for name in dotted:
+        parts = name.split(".")
+        if parts[0] == "qredist":
+            found.add(parts[1] if len(parts) > 1 and parts[1] in _LAYER_RANK else "__init__")
+    return found
+
+
+def _layer_violations(sources: dict[str, str]) -> list[str]:
+    return sorted(f"{module} imports {dep}" for module, source in sources.items()
+                  for dep in _package_imports(source)
+                  if _LAYER_RANK[dep] >= _LAYER_RANK[module])
+
+
+def test_modules_import_only_lower_layers():
+    package = Path(qredist.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert set(sources) == set(_LAYER_RANK)
+    assert _layer_violations(sources) == []
+
+
+def test_layer_violation_is_flagged():
+    sources = {
+        "entropy": "from .coherence import dephase\nfrom .qmat import EIG_FLOOR\n",
+        "qmat": "def f():\n    from . import rates\n    import qredist.cli\n",
+        "rates": "from qredist.protocols import qsr_full\nfrom qredist import dephase\n",
+    }
+    assert _layer_violations(sources) == [
+        "entropy imports coherence", "qmat imports cli", "qmat imports rates",
+        "rates imports __init__"]

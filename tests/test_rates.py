@@ -35,7 +35,7 @@ from qredist.rates import (
     standard_qsr_rates,
     tensor_power_state,
 )
-from qredist.sampling import random_pure_state
+from qredist.sampling import random_density, random_pure_state
 from qredist.stateio import save_state
 
 
@@ -301,15 +301,16 @@ def _product_form_cases():
 
 @pytest.mark.parametrize("case", sorted(_product_form_cases()))
 def test_product_form_eigensystem_matches_dense_route(monkeypatch, case):
-    # every relative entropy in rate_forms takes its sigma's eigensystem as known, and the
-    # product form takes rho_RBC from psi's factor; each must equal the dense
-    # relative_entropy between the explicit states it stands for
+    # every relative entropy in rate_forms takes its sigma's eigensystem as known: R_c and
+    # the dephased d2 read diagonals, and d1 takes rho_RBC from psi's factor; each must
+    # equal the dense relative_entropy between the explicit states it stands for
     psi, sigma_c = _product_form_cases()[case]
     seen = []
-    for name in ("_relative_entropy_eig", "_relative_entropy_factor"):
+    for name in ("relative_entropy_of_coherence", "_relative_entropy_factor",
+                 "_relative_entropy_spectral"):
         def spied(*args, _inner=getattr(rates, name)):
             value = _inner(*args)
-            seen.append(value)
+            seen.append(float(value))
             return value
         monkeypatch.setattr(rates, name, spied)
     rates.incoherent_rate_forms(psi, sigma_c)
@@ -326,8 +327,8 @@ def test_product_form_eigensystem_matches_dense_route(monkeypatch, case):
     ]
     assert len(seen) == len(want)
     for got, ref in zip(seen, want):
-        assert got.finite and ref.finite
-        assert got.value == pytest.approx(ref.value, abs=1e-12), case
+        assert math.isfinite(got) and ref.finite
+        assert got == pytest.approx(ref.value, abs=1e-12), case
     if case == "haar-8884":
         # rho_RB has rank d_A d_C = 32 of 64, so the product's kernel is not empty
         assert np.sum(np.linalg.eigvalsh(rho_rb.matrix) > qmat.EIG_FLOOR) == 32
@@ -403,6 +404,28 @@ def test_rate_report_never_decomposes_the_product_densely(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     rate_report(psi)
     assert dims_seen and max(dims_seen) <= max(8 * 8, 8 * 4), dims_seen
+
+
+def test_no_dephased_matrix_is_decomposed_or_validated(monkeypatch):
+    # a dephased state is its diagonal: neither the rate report, the incoherent Schumacher
+    # rate nor the free test hands an exactly diagonal matrix (d >= 2) to a decomposition or
+    # to the validation Cholesky
+    psi = random_rabc(26, dims=(4, 2, 4, 4))
+    rng = np.random.default_rng(26)
+    sys_ = qmat.system(("Q", 4))
+    rho, sigma = random_density(sys_, rng), random_density(sys_, rng)
+    diagonal = []
+    for name in ("eigvalsh", "eigh", "cholesky"):
+        def counted(a, *args, _kernel=getattr(np.linalg, name), _name=name, **kwargs):
+            mat = np.asarray(a)
+            if mat.ndim == 2 and len(mat) >= 2 and not np.any(mat - np.diag(np.diagonal(mat))):
+                diagonal.append((_name, mat.shape))
+            return _kernel(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rate_report(psi)
+    incoherent_schumacher_rate(rho)
+    entropy.restricted_hypothesis_test(rho, sigma, 0.1)
+    assert diagonal == []
 
 
 @pytest.mark.parametrize("labels", [("R", "B", "C"), ("R", "B"), ("B", "C"), ("B",)])
