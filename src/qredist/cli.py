@@ -125,6 +125,8 @@ def _load_vector(path: str) -> StateVector:
 
 def _budget(args: argparse.Namespace, default: int = MAX_AMPLITUDES) -> int:
     """--budget when given, else the default cap for what the run materializes."""
+    if args.budget is not None and args.budget < 1:
+        raise InputError(f"--budget must be at least 1, got {args.budget}")
     return default if args.budget is None else args.budget
 
 

@@ -393,36 +393,32 @@ def hypothesis_testing_relative_entropy(
     return optimal_hypothesis_test(rho, sigma, eps)[0]
 
 
-def restricted_hypothesis_test(
-    rho: DensityOperator,
-    sigma: DensityOperator,
-    eps: float,
-) -> tuple[EntropicValue, np.ndarray]:
-    """Hypothesis testing restricted to free (diagonal) test operators.
-
-    Because dephasing is self-adjoint and surjective onto the free
-    measurement operators, the restricted quantity equals the unrestricted
-    one between the dephased states.  A dephased state is its diagonal, so
-    this is the classical Neyman-Pearson test on the diagonals of rho and
-    sigma, and the optimal test is the diagonal of its weights.  When
-    Tr(rho) < 1 - eps the constraint is unsatisfiable and the test is the
-    identity.
-    """
+def diagonal_hypothesis_test(p: np.ndarray, q: np.ndarray,
+                             eps: float) -> tuple[EntropicValue, np.ndarray]:
+    """Hypothesis testing restricted to free (diagonal) tests, with the test's weights.
+    Dephasing is self-adjoint and onto the free tests, so this is the unrestricted test
+    between the dephased states: the classical Neyman-Pearson test on the diagonals p of
+    rho and q of sigma.  When sum(p) < 1 - eps every weight is 1."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
+    # summed as DensityOperator.trace sums a complex diagonal: dense callers keep their bits
+    if np.sum(p, dtype=complex).real < 1.0 - eps:
+        return _test_value(float(np.sum(q, dtype=complex).real)), np.ones(len(p))
+    beta, weights = _classical_np_test(p, q, eps)
+    return _test_value(beta), weights
+
+
+def restricted_hypothesis_test(rho: DensityOperator, sigma: DensityOperator,
+                               eps: float) -> tuple[EntropicValue, np.ndarray]:
+    """``diagonal_hypothesis_test`` on the diagonals of rho and sigma, the test as Pi."""
     _require_same_registers(rho, sigma, "restricted hypothesis testing")
-    if rho.trace() < 1.0 - eps:
-        return _test_value(sigma.trace()), np.eye(rho.system.dim, dtype=complex)
-    beta, weights = _classical_np_test(np.diagonal(rho.matrix).real,
-                                       np.diagonal(sigma.matrix).real, eps)
-    return _test_value(beta), np.diag(weights).astype(complex)
+    value, weights = diagonal_hypothesis_test(np.diagonal(rho.matrix).real,
+                                              np.diagonal(sigma.matrix).real, eps)
+    return value, np.diag(weights).astype(complex)
 
 
-def restricted_hypothesis_testing(
-    rho: DensityOperator,
-    sigma: DensityOperator,
-    eps: float,
-) -> EntropicValue:
+def restricted_hypothesis_testing(rho: DensityOperator, sigma: DensityOperator,
+                                  eps: float) -> EntropicValue:
     return restricted_hypothesis_test(rho, sigma, eps)[0]
 
 

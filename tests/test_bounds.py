@@ -60,7 +60,7 @@ def _rabc_file(tmp_path):
 
 
 def _fake_decode(distance):
-    def fake(branches, pi_bc, psi, b):
+    def fake(branches, test_bc, psi, b):
         return {k: 0.0 for k in range(1, b + 2)}, 0.0, distance
     return fake
 

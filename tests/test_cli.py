@@ -380,6 +380,20 @@ def test_state_files_respect_budget(capsys, tmp_path, command):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "qsr", "--budget", "-1"],
+    ["simulate", "qsr", "--budget", "0"],
+    ["rates", "--random-qubits", "4", "--budget", "-3"],
+    ["simulate", "coherence-creation", "--q", "1", "--e", "1", "--budget", "-1"],
+    ["simulate", "convex-split", "--budget", "0"],
+])
+def test_budget_below_one_is_bad_input(capsys, command):
+    # a budget below one amplitude is out of domain, not a blown budget (exit 3)
+    code, out, err = run(capsys, command)
+    assert (code, out) == (2, "")
+    assert "--budget must be at least 1" in err
+
+
 @pytest.mark.parametrize("command", (["simulate", "convex-split"], ["sweep", "delta"]))
 def test_convex_split_respects_budget(capsys, command):
     # the default draws need splits above dimension 16 (128 for simulate, 64 at the sweep's 0.25)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qredist import protocols, qmat
-from qredist.entropy import max_relative_entropy
+from qredist.entropy import max_relative_entropy, restricted_hypothesis_test
 from qredist.protocols import (
     MAX_AMPLITUDES,
     MAX_DENSITY_DIM,
@@ -429,9 +429,55 @@ def test_builtin_instance_parameters_frozen():
     p3 = params["mismatched-prior"]
     assert p3.k == pytest.approx(math.log2(7.0 / 6.0), abs=1e-9)
     assert (p3.n, p3.b, p3.cobits) == (4, 1, 2)
-    # the free test is diagonal in every case
+    # the free test travels as its d_BC weights
     for p in params.values():
-        assert np.max(np.abs(p.pi_bc - np.diag(np.diagonal(p.pi_bc)))) <= 1e-9
+        assert p.test_bc.shape == (4,)
+        assert np.all((0.0 <= p.test_bc) & (p.test_bc <= 1.0))
+
+
+def test_free_test_weights_match_the_dense_route():
+    # the route qsr_parameters took before it read diagonals is the oracle: the restricted
+    # test on the validated rho_BC against rho_B x sigma_c.  Cases: the built-ins, their
+    # R-rotated copies drawn as perfbench's qsr-scaling workload draws them, and
+    # mismatched-prior at eps2 = 1e-5, where Tr rho_BC rounds below 1 - eps2^4 and the
+    # test is the identity
+    builtin = builtin_qsr_instances()
+    instances = list(builtin.values())
+    for seed in (70, 101):
+        rng = np.random.default_rng(seed)
+        instances += [replace(builtin[name], psi=_rotate_r(builtin[name].psi,
+                                                           random_unitary(2, rng)))
+                      for _cycle in range(4) for _slots in range(4) for name in sorted(builtin)]
+    tiny = replace(builtin["mismatched-prior"], eps2=1e-5)
+    assert vector_marginal(tiny.psi, ["B", "C"]).trace() < 1.0 - tiny.eps2 ** 4
+    instances.append(tiny)
+    for inst in instances:
+        value, pi = restricted_hypothesis_test(
+            vector_marginal(inst.psi, ["B", "C"]),
+            tensor(vector_marginal(inst.psi, ["B"]), inst.sigma_c), inst.eps2 ** 4)
+        params = qsr_parameters(inst)
+        assert params.d_f == float(value), inst.name
+        assert np.array_equal(np.diag(params.test_bc), pi), inst.name
+    assert np.array_equal(qsr_parameters(tiny).test_bc, np.ones(4))
+
+
+def test_parameters_validate_only_the_states_k_needs(monkeypatch):
+    # k needs rho_RBC, rho_RB and rho_RB x sigma_c validated; the free test and the
+    # instance's support check read marginal diagonals, which need no validated state
+    validated = []
+    validate = DensityOperator.__post_init__
+
+    def counting(self):
+        validated.append(self.system.labels)
+        validate(self)
+
+    inst = builtin_qsr_instances()["mismatched-prior"]
+    monkeypatch.setattr(DensityOperator, "__post_init__", counting)
+    QsrInstance(psi=inst.psi, sigma_c=inst.sigma_c, eps1=inst.eps1, eps2=inst.eps2,
+                gamma=inst.gamma)
+    assert validated == []
+    qsr_parameters(inst)
+    assert len(validated) == 3
 
 
 def test_qsr_full_runs_all_builtins():
@@ -708,7 +754,7 @@ def test_qsr_override_shrinks_slots():
 def test_decoder_single_slot_identity_test():
     # b = 1 with the always-firing test reproduces the state exactly
     inst = builtin_qsr_instances()["uncorrelated-pure"]
-    params = replace(qsr_parameters(inst), pi_bc=np.eye(4, dtype=complex), d_f=0.0)
+    params = replace(qsr_parameters(inst), test_bc=np.ones(4), d_f=0.0)
     res = qsr_decoder_p1(inst, 1, params)
     assert res.fidelity == pytest.approx(1.0, abs=1e-9)
     assert res.outcome_probs[1] == pytest.approx(1.0, abs=1e-9)
@@ -759,11 +805,13 @@ def test_decoder_budget_guard():
 def test_decoder_rejects_non_free_tests():
     inst = builtin_qsr_instances()["uncorrelated-pure"]
     params = qsr_parameters(inst)
-    coherent_pi = np.full((4, 4), 0.25)
-    with pytest.raises(Exception):
-        qsr_decoder_p1(inst, 1, replace(params, pi_bc=coherent_pi))
-    with pytest.raises(Exception):
-        qsr_decoder_p1(inst, 1, replace(params, pi_bc=np.diag([1.5, 0.0, 0.0, 0.0])))
+    # a dense test matrix, coherent or not, and a vector of the wrong length
+    for bad in (np.full((4, 4), 0.25), np.eye(4), np.ones(3), np.ones(8)):
+        with pytest.raises(qmat.DimensionMismatch):
+            qsr_decoder_p1(inst, 1, replace(params, test_bc=bad))
+    for entry in (1.5, -0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidState):
+            qsr_decoder_p1(inst, 1, replace(params, test_bc=np.array([entry, 0.0, 0.0, 0.0])))
 
 
 # --------------------------------------------------------------------------
