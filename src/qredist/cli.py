@@ -197,7 +197,7 @@ def _rows_to_text(rows: list[dict[str, Any]], header: list[str], fmt: str) -> st
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -384,6 +384,8 @@ def cmd_sweep(args: argparse.Namespace) -> str:
             raise InputError("empty sweep: no eps values given")
         if args.rho is None or args.sigma is None:
             raise InputError("eps sweep needs --rho and --sigma state files")
+        if args.budget is not None:
+            raise InputError("eps sweep takes no --budget: it materializes nothing capped")
         rho, sigma = load_density(args.rho), load_density(args.sigma)
         rows = []
         for eps in eps_values:
@@ -494,16 +496,23 @@ def cmd_selftest(args: argparse.Namespace) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 # parser and entry point
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="seed for any randomness")
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--budget", type=int,
-                   help=f"largest state vector a run may materialize (default {MAX_AMPLITUDES}); "
-                        f"for a convex split, its largest density dimension "
-                        f"(default {MAX_DENSITY_DIM})")
-    p.add_argument("--allow-inf", action="store_true",
-                   help="report infinite quantities instead of failing")
+_OPTIONS: dict[str, dict[str, Any]] = {
+    "--seed": dict(type=int, default=0, help="seed for any randomness"),
+    "--format": dict(choices=("json", "csv", "pretty"), default="pretty"),
+    "--out": dict(help="write output to this file instead of stdout"),
+    "--budget": dict(type=int,
+                     help=f"largest state vector a run may materialize (default {MAX_AMPLITUDES}); "
+                          f"for a convex split, its largest density dimension "
+                          f"(default {MAX_DENSITY_DIM})"),
+    "--allow-inf": dict(action="store_true",
+                        help="report infinite quantities instead of failing"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, *flags: str) -> None:
+    """The shared options a command reads, and only those: argparse refuses the others."""
+    for flag in flags:
+        p.add_argument(flag, **_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("files", nargs="+", help="state files (one, or rho then sigma)")
     q.add_argument("--parts", help="register groups, comma separated, '+' joins")
     q.add_argument("--eps", type=float, help="error tolerance for dh and df")
-    _add_common(q)
+    _add_options(q, "--format", "--out", "--allow-inf")
 
     r = sub.add_parser("rates", help="full closed-form rate report for one pure state")
     r.add_argument("state", nargs="?", help="pure state file on registers R, A, B, C")
@@ -526,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draw a seeded random pure state on this many qubits instead")
     r.add_argument("--sigma-c", help="free reference state file for the product form")
     r.add_argument("--units", choices=("qubits", "cobits"), default="qubits")
-    _add_common(r)
+    _add_options(r, "--seed", "--format", "--out", "--budget")
 
     s = sub.add_parser("simulate", help="run a protocol and print its transcript")
     s.add_argument("target", choices=("coherence-creation", "convex-split", "qsr"))
@@ -544,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gamma", type=float, help="override instance gamma (qsr)")
     s.add_argument("--n-override", type=int, help="force the slot count (qsr)")
     s.add_argument("--b-override", type=int, help="force the block size (qsr)")
-    _add_common(s)
+    _add_options(s, "--seed", "--format", "--out", "--budget")
 
     w = sub.add_parser("sweep", help="parameter sweeps emitting one row per value")
     w.add_argument("target", choices=("copies", "delta", "eps", "block"))
@@ -560,10 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--eps-list", default="0.05,0.1,0.25", help="eps values (eps)")
     w.add_argument("--instance", default="classical-side-info", help="built-in instance (block)")
     w.add_argument("--b-list", default="1,2,3", help="block sizes (block)")
-    _add_common(w)
+    _add_options(w, "--seed", "--format", "--out", "--budget", "--allow-inf")
 
     t = sub.add_parser("selftest", help="run the built-in validation battery")
-    _add_common(t)
+    _add_options(t, "--seed", "--out")
 
     return parser
 

@@ -136,11 +136,19 @@ def max_relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> Entrop
     """D_max = log2 of the largest eigenvalue of sigma^{-1/2} rho sigma^{-1/2}."""
     _require_same_registers(rho, sigma, "max-relative entropy")
     evs, vecs = np.linalg.eigh(sigma.matrix)
-    if _kernel_mass(rho.matrix, evs, vecs) > SUPPORT_TOL:
+    return _max_relative_entropy_eig(vecs.conj().T @ rho.matrix @ vecs, evs)
+
+
+def _max_relative_entropy_eig(rho_mat: np.ndarray, evs: np.ndarray) -> EntropicValue:
+    """D_max(rho||diag(evs)) for rho already written in sigma's eigenbasis, evs sigma's
+    eigenvalues: infinite when rho's block on sigma's kernel (evs <= EIG_FLOOR) has an
+    eigenvalue above SUPPORT_TOL, else log2 of the largest eigenvalue of
+    Lambda^{-1/2} rho Lambda^{-1/2} on sigma's support, floored at EIG_FLOOR."""
+    kernel = evs <= EIG_FLOOR
+    if kernel.any() and np.linalg.eigvalsh(rho_mat[np.ix_(kernel, kernel)])[-1] > SUPPORT_TOL:
         return EntropicValue.infinite()
-    inv_half = np.where(evs > EIG_FLOOR, 1.0 / np.sqrt(np.clip(evs, EIG_FLOOR, None)), 0.0)
-    isq = (vecs * inv_half) @ vecs.conj().T
-    lam = float(np.linalg.eigvalsh(isq @ rho.matrix @ isq)[-1])
+    inv_half = np.where(kernel, 0.0, 1.0 / np.sqrt(np.clip(evs, EIG_FLOOR, None)))
+    lam = float(np.linalg.eigvalsh(inv_half[:, None] * rho_mat * inv_half)[-1])
     return EntropicValue(float(np.log2(max(lam, EIG_FLOOR))))
 
 
@@ -494,14 +502,9 @@ def relative_entropy_variance(rho: DensityOperator, sigma: DensityOperator) -> f
         raise InvalidState("relative entropy variance undefined on a support violation")
     evr, vr = np.linalg.eigh(rho.matrix)
     evs, vs = np.linalg.eigh(sigma.matrix)
-    overlap = np.abs(vr.conj().T @ vs) ** 2
-    second = 0.0
-    for i, lam in enumerate(evr):
-        if lam <= EIG_FLOOR:
-            continue
-        for j, nu in enumerate(evs):
-            w = lam * overlap[i, j]
-            if w <= 1e-16 or nu <= EIG_FLOOR:
-                continue
-            second += w * (np.log2(lam) - np.log2(nu)) ** 2
+    # w[i, j] = lam_i |<r_i|s_j>|^2; a term counts when lam_i, w and nu_j clear their floors
+    w = evr[:, None] * np.abs(vr.conj().T @ vs) ** 2
+    keep = (evr[:, None] > EIG_FLOOR) & (w > 1e-16) & (evs > EIG_FLOOR)
+    gap = np.log2(np.clip(evr, EIG_FLOOR, None))[:, None] - np.log2(np.clip(evs, EIG_FLOOR, None))
+    second = float(np.sum(w[keep] * gap[keep] ** 2))
     return float(max(second - d.value ** 2, 0.0))

@@ -21,7 +21,7 @@ from .coherence import (
     is_free_state,
     maximally_coherent_state,
 )
-from .entropy import diagonal_hypothesis_test, entropy_of_probs, max_relative_entropy
+from .entropy import _max_relative_entropy_eig, diagonal_hypothesis_test, entropy_of_probs
 from .qmat import (
     DensityOperator,
     DimensionMismatch,
@@ -38,7 +38,6 @@ from .qmat import (
     partial_trace,
     purified_distance,
     purify,
-    tensor,
     vector_factor_matrix,
     vector_marginal,
 )
@@ -256,13 +255,8 @@ def _with_sigma_copies(
     return np.kron(amps, copies), RegisterSystem(registers)
 
 
-def _split_inputs(
-    rho_pq: DensityOperator, sigma_q: DensityOperator, n: int, budget: int
-) -> tuple[DensityOperator, RegisterSystem]:
-    """The joint state in (P, Q) order, Q in sigma's register order, and the split
-    state's registers: P, then the slots Q1..Qn in sigma's register order."""
-    if n < 1:
-        raise ValueError(f"slot count must be positive, got {n}")
+def _pq_order(rho_pq: DensityOperator, sigma_q: DensityOperator) -> tuple[DensityOperator, list[str]]:
+    """The joint state in (P, Q) order, Q in sigma's register order, and P's labels."""
     q_labels = list(sigma_q.system.labels)
     for lab in q_labels:
         if lab not in rho_pq.system.labels:
@@ -272,11 +266,20 @@ def _split_inputs(
     p_labels = [lab for lab in rho_pq.system.labels if lab not in q_labels]
     if not p_labels:
         raise RegisterError("the joint state must have at least one register outside sigma")
-    _check_budget(rho_pq.system.dim, sigma_q.system.dim, n - 1, budget,
-                  f"convex split over {n} slots")
     if list(rho_pq.system.labels) != p_labels + q_labels:
         rho_pq = qmat.permute_registers(rho_pq, p_labels + q_labels)
-    return rho_pq, RegisterSystem(rho_pq.system.registers[:len(p_labels)] + tuple(
+    return rho_pq, p_labels
+
+
+def _split_system(rho_pq: DensityOperator, sigma_q: DensityOperator, n: int,
+                  budget: int) -> RegisterSystem:
+    """The split state's registers for rho_pq in (P, Q) order: P, then the slots Q1..Qn in
+    sigma's register order.  Refuses a split over the budget."""
+    if n < 1:
+        raise ValueError(f"slot count must be positive, got {n}")
+    _check_budget(rho_pq.system.dim, sigma_q.system.dim, n - 1, budget,
+                  f"convex split over {n} slots")
+    return RegisterSystem(rho_pq.system.registers[:-len(sigma_q.system.registers)] + tuple(
         (f"{lab}{j}", d) for j in range(1, n + 1) for lab, d in sigma_q.system.registers))
 
 
@@ -318,8 +321,19 @@ def convex_split_state(
     Output registers are P, then the slots Q1..Qn in sigma's register order.
     Term j is the first term, built once, with slots 1 and j swapped.
     """
-    rho_pq, sys_ = _split_inputs(rho_pq, sigma_q, n, budget)
-    return DensityOperator(sys_, _split_matrix(rho_pq.matrix, sigma_q.matrix, n))
+    rho_pq = _pq_order(rho_pq, sigma_q)[0]
+    return DensityOperator(_split_system(rho_pq, sigma_q, n, budget),
+                           _split_matrix(rho_pq.matrix, sigma_q.matrix, n))
+
+
+def _product_frame(rho_pq: np.ndarray, rho_p: np.ndarray, sigma: np.ndarray):
+    """rho_pq, in (P, Q) order, in the eigenbasis U_P x U_sigma of rho_P x sigma, the
+    eigenvalues of rho_P and of sigma, and k = D_max(rho_pq||rho_P x sigma) read in that basis."""
+    lam_p, u_p = np.linalg.eigh(rho_p)
+    lam_q, u_q = np.linalg.eigh(sigma)
+    u = _kron_matrices(u_p, u_q)
+    rotated = u.conj().T @ rho_pq @ u
+    return rotated, lam_p, lam_q, _max_relative_entropy_eig(rotated, np.kron(lam_p, lam_q))
 
 
 def random_split_instance(
@@ -341,14 +355,14 @@ def random_split_instance(
     corr = random_density(sys_pq, rng)
     rho_p = partial_trace(corr, ["P"])
     sigma_q = partial_trace(corr, ["Q"])
-    prod = tensor(rho_p, sigma_q)
-    k0 = max_relative_entropy(corr, prod)
+    k0 = _product_frame(corr.matrix, rho_p.matrix, sigma_q.matrix)[3]
     if not k0.finite:
         raise InvalidState("drawn state is unsupported on its marginal product")
     if k0.value <= k_cap:
         return corr, sigma_q
     t = (2.0 ** k_cap - 1.0) / (2.0 ** k0.value - 1.0)
-    mixed = DensityOperator(sys_pq, (1.0 - t) * prod.matrix + t * corr.matrix)
+    prod = _kron_matrices(rho_p.matrix, sigma_q.matrix)
+    mixed = DensityOperator(sys_pq, (1.0 - t) * prod + t * corr.matrix)
     return mixed, sigma_q
 
 
@@ -428,27 +442,18 @@ def convex_split_bound_check(
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
-    q_labels = list(sigma_q.system.labels)
-    p_labels = [lab for lab in rho_pq.system.labels if lab not in q_labels]
-    rho_p = partial_trace(rho_pq, p_labels)
-    product = tensor(rho_p, sigma_q)
-    # compare in rho_pq's register order; the usual (P, Q) order skips the extra validation
-    if product.system.labels != rho_pq.system.labels:
-        product = qmat.permute_registers(product, rho_pq.system.labels)
-    kval = max_relative_entropy(rho_pq, product)
+    ordered, p_labels = _pq_order(rho_pq, sigma_q)
+    # Work in the eigenbasis of the target rho_P x sigma^{xn}: the split state
+    # commutes with U_P x U_sigma^{xn}, so it is built from the rotated joint
+    # state and the diagonal sigma, and the target's root is a diagonal; k is
+    # read in the same basis.  The spin-block route needs sigma^{-1/2}, so a
+    # rank-deficient sigma stays dense.
+    rotated, lam_p, lam_q, kval = _product_frame(
+        ordered.matrix, partial_trace(rho_pq, p_labels).matrix, sigma_q.matrix)
     if not kval.finite:
         raise InvalidState("joint state is unsupported on marginal x sigma")
     n = _slot_count(kval.value, delta)
-    rho_pq, sys_ = _split_inputs(rho_pq, sigma_q, n, budget)
-
-    # Work in the eigenbasis of the target rho_P x sigma^{xn}: the split state
-    # commutes with U_P x U_sigma^{xn}, so it is built from the rotated joint
-    # state and the diagonal sigma, and the target's root is a diagonal.
-    # The spin-block route needs sigma^{-1/2}, so a rank-deficient sigma stays dense.
-    lam_p, u_p = np.linalg.eigh(rho_p.matrix)
-    lam_q, u_q = np.linalg.eigh(sigma_q.matrix)
-    u = _kron_matrices(u_p, u_q)
-    rotated = u.conj().T @ rho_pq.matrix @ u
+    sys_ = _split_system(ordered, sigma_q, n, budget)
     root = np.sqrt(np.clip(lam_p, 0.0, None))
     if lam_q.shape[0] == 2 and lam_q[0] > qmat.EIG_FLOOR:
         f = _spin_block_fidelity(rotated, root, lam_q, n)
@@ -589,9 +594,15 @@ class QsrParameters:
 def qsr_parameters(instance: QsrInstance) -> QsrParameters:
     """Slot count, block size and the optimal free test, as Pi's diagonal, for an instance."""
     psi = instance.psi
-    phi_rbc = vector_marginal(psi, ["R", "B", "C"])
-    phi_rb = vector_marginal(psi, ["R", "B"])
-    kval = max_relative_entropy(phi_rbc, tensor(phi_rb, instance.sigma_c))
+    # k = D_max(rho_RBC||rho_RB x sigma_c) in the eigenbasis U x 1_C of the product, from
+    # (e, U) = eigh(rho_RB) and sigma_c's diagonal: rho_RBC there is Y Y^dag with
+    # Y = (U^dag x 1_C) X for psi's factor X on (RB, C | A), so rho_RBC is never validated
+    e, u = np.linalg.eigh(vector_marginal(psi, ["R", "B"]).matrix)
+    x = vector_factor_matrix(psi.amplitudes, psi.system.dims,
+                             [psi.system.axis(lab) for lab in ("R", "B", "C")])
+    y = (u.conj().T @ x.reshape(len(e), -1)).reshape(x.shape)
+    kval = _max_relative_entropy_eig(y @ y.conj().T,
+                                     np.kron(e, np.diagonal(instance.sigma_c.matrix).real))
     if not kval.finite:
         raise InvalidState("instance violates the support condition against sigma_c")
     delta = instance.eps1 ** 2

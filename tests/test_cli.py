@@ -394,6 +394,28 @@ def test_budget_below_one_is_bad_input(capsys, command):
     assert "--budget must be at least 1" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["quantity", "s", "mix.json", "--seed", "1"],
+    ["quantity", "df", "mix.json", "id2.json", "--eps", "0.1", "--budget", "-5"],
+    ["rates", "--random-qubits", "4", "--allow-inf"],
+    ["simulate", "qsr", "--allow-inf"],
+    ["selftest", "--format", "json"],
+    ["selftest", "--budget", "5"],
+    ["selftest", "--allow-inf"],
+    ["sweep", "eps", "--rho", "mix.json", "--sigma", "id2.json", "--budget", "5"],
+])
+def test_options_a_command_never_reads_are_refused(capsys, files, command):
+    # each of these exited 0 with the option ignored; argparse now exits 2 on an unknown
+    # option, and sweep eps, which shares its parser with the capped targets, refuses --budget
+    argv = [files.get(arg, arg) for arg in command]
+    try:
+        code, out, err = run(capsys, argv)
+    except SystemExit as exc:
+        code, out, err = exc.code, *capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "budget" in err if command[0] == "sweep" else "unrecognized arguments" in err
+
+
 @pytest.mark.parametrize("command", (["simulate", "convex-split"], ["sweep", "delta"]))
 def test_convex_split_respects_budget(capsys, command):
     # the default draws need splits above dimension 16 (128 for simulate, 64 at the sweep's 0.25)

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.stats import norm
 
+from dense_oracles import dense_max_relative_entropy
 from qredist import entropy as entropy_module
 from qredist import qmat
 from qredist.coherence import dephase
@@ -117,6 +118,30 @@ def test_max_relative_entropy_hand_values():
     assert max_relative_entropy(rho, sigma).value == pytest.approx(1.0, abs=1e-9)
     assert max_relative_entropy(rho, rho).value == pytest.approx(0.0, abs=1e-9)
     assert not max_relative_entropy(rho, diag_state([1.0, 0.0])).finite
+
+
+def test_max_relative_entropy_in_sigmas_eigenbasis_matches_the_dense_formula():
+    # sigma of full rank and rank-deficient; rho inside sigma's support and a full-rank rho
+    # outside it, which must read infinite on both routes
+    rng = np.random.default_rng(21)
+    for d in (2, 3, 4, 6, 8):
+        sys_ = qmat.system(("Q", d))
+        for rank in sorted({d, d - 1, max(1, d // 2)}):
+            sigma = random_density(sys_, rng, rank=rank)
+            evs, vecs = np.linalg.eigh(sigma.matrix)
+            supp = vecs[:, evs > EIG_FLOOR]
+            inside = supp @ random_density(qmat.system(("S", supp.shape[1])), rng).matrix @ supp.conj().T
+            for rho_mat in (inside, random_density(sys_, rng).matrix):
+                rho = DensityOperator(sys_, rho_mat)
+                want = dense_max_relative_entropy(rho.matrix, sigma.matrix)
+                got = entropy_module._max_relative_entropy_eig(
+                    vecs.conj().T @ rho.matrix @ vecs, evs)
+                assert float(got) == float(max_relative_entropy(rho, sigma))
+                assert got.finite == (rank == d or rho_mat is inside), (d, rank)
+                if got.finite:
+                    assert abs(got.value - want) <= 1e-12
+                else:
+                    assert want == math.inf
 
 
 def test_max_relative_entropy_dominates_relative_entropy():
@@ -570,6 +595,47 @@ def test_relative_entropy_variance_hand_value():
     v = relative_entropy_variance(rho, sigma)
     assert v == pytest.approx(0.6280265321730654, abs=1e-10)
     assert relative_entropy_variance(rho, rho) == pytest.approx(0.0, abs=1e-10)
+
+
+def _variance_loop(rho, sigma):
+    """The double loop relative_entropy_variance ran before its masked array form: the oracle."""
+    d = relative_entropy(rho, sigma)
+    evr, vr = np.linalg.eigh(rho.matrix)
+    evs, vs = np.linalg.eigh(sigma.matrix)
+    overlap = np.abs(vr.conj().T @ vs) ** 2
+    second = 0.0
+    for i, lam in enumerate(evr):
+        if lam <= EIG_FLOOR:
+            continue
+        for j, nu in enumerate(evs):
+            w = lam * overlap[i, j]
+            if w <= 1e-16 or nu <= EIG_FLOOR:
+                continue
+            second += w * (np.log2(lam) - np.log2(nu)) ** 2
+    return float(max(second - d.value ** 2, 0.0))
+
+
+def test_relative_entropy_variance_matches_the_loop():
+    # rho of full rank and of rank d/2 against a full-rank sigma, and a rank-d/2 pair on one
+    # support, where sigma's kernel cut-off decides
+    rng = np.random.default_rng(22)
+    for d in range(2, 17):
+        sys_ = qmat.system(("Q", d))
+        half = random_density(sys_, rng, rank=d // 2)
+        vecs = np.linalg.eigh(half.matrix)[1][:, d - d // 2:]
+        shared = DensityOperator(sys_, vecs @ random_density(qmat.system(("S", d // 2)), rng)
+                                 .matrix @ vecs.conj().T)
+        pairs = [(random_density(sys_, rng), random_density(sys_, rng)),
+                 (random_density(sys_, rng, rank=d // 2), random_density(sys_, rng)),
+                 (shared, half)]
+        for rho, sigma in pairs:
+            assert abs(relative_entropy_variance(rho, sigma) - _variance_loop(rho, sigma)) <= 1e-12
+    # rho's weight 1e-11 on sigma's kernel is under SUPPORT_TOL and above both other floors,
+    # so only sigma's kernel cut-off drops its term, worth about 1e-10
+    u = random_unitary(3, rng)
+    rho, sigma = (DensityOperator(qmat.system(("Q", 3)), (u * p) @ u.conj().T)
+                  for p in ([0.5 - 5e-12, 0.5 - 5e-12, 1e-11], [0.5, 0.5, 0.0]))
+    assert abs(relative_entropy_variance(rho, sigma) - _variance_loop(rho, sigma)) <= 1e-12
 
 
 def test_second_order_tracks_hypothesis_testing_iid():

@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dense_oracles import dense_max_relative_entropy
 from qredist import protocols, qmat
-from qredist.entropy import max_relative_entropy, restricted_hypothesis_test
+from qredist.entropy import EntropicValue, max_relative_entropy, restricted_hypothesis_test
 from qredist.protocols import (
     MAX_AMPLITUDES,
     MAX_DENSITY_DIM,
@@ -209,6 +210,73 @@ def test_convex_split_bound_check_register_order():
     assert plain.n == flipped.n == 6
     assert flipped.k == pytest.approx(plain.k, abs=1e-12)
     assert flipped.fidelity_squared == pytest.approx(plain.fidelity_squared, abs=1e-12)
+
+
+def _dense_k(rho_pq, sigma_q):
+    """k the way it was taken before it was read in the product's eigenbasis: against the
+    validated rho_P x sigma in rho_pq's register order, through a dense eigh of the product."""
+    p_labels = [lab for lab in rho_pq.system.labels if lab not in sigma_q.system.labels]
+    product = tensor(partial_trace(rho_pq, p_labels), sigma_q)
+    if product.system.labels != rho_pq.system.labels:
+        product = qmat.permute_registers(product, rho_pq.system.labels)
+    return dense_max_relative_entropy(rho_pq.matrix, product.matrix)
+
+
+def _with_k(monkeypatch, k, fn, *args):
+    """fn(*args) with every k the protocols read replaced by k: the earlier route's run."""
+    with monkeypatch.context() as m:
+        m.setattr(protocols, "_max_relative_entropy_eig", lambda *_: EntropicValue(k))
+        return fn(*args)
+
+
+def test_split_k_matches_the_dense_product_route(monkeypatch):
+    # split-battery's 500 pairs at its default seed 30, drawn in its plan order, then a
+    # d_Q = 3 pair and a rank-deficient sigma, which take the dense route, and a pair
+    # stored in (Q, P) order; with the dense k put back, n and F^2 come out the same bits
+    rng = np.random.default_rng(30)
+    cases = [(*random_split_instance(rng, k_cap), delta)
+             for delta, k_cap, count in ((0.5, 0.5, 300), (0.25, 0.5, 194), (0.125, 0.15, 6))
+             for _ in range(count)]
+    rng = np.random.default_rng(14)
+    joint_q3 = random_density(qmat.system(("P", 2), ("Q", 3)), rng)
+    rho, sigma = random_split_instance(rng, 0.5)
+    cases += [(joint_q3, partial_trace(joint_q3, ["Q"]), 0.9),
+              _embedded_rank_two_sigma(rng) + (0.9,),
+              (qmat.permute_registers(rho, ["Q", "P"]), sigma, 0.25)]
+    for rho, sigma, delta in cases:
+        chk = convex_split_bound_check(rho, sigma, 0.0, delta)
+        k = _dense_k(rho, sigma)
+        assert abs(chk.k - k) <= 1e-12
+        before = _with_k(monkeypatch, k, convex_split_bound_check, rho, sigma, 0.0, delta)
+        assert (chk.n, chk.fidelity_squared) == (before.n, before.fidelity_squared)
+
+
+def test_split_k_support_violation_raises():
+    # rho_P x |0><0| misses the joint state's weight on Q = 1
+    joint = random_density(qmat.system(("P", 2), ("Q", 2)), np.random.default_rng(8))
+    pure = DensityOperator(qmat.system(("Q", 2)), np.diag([1.0, 0.0]))
+    with pytest.raises(InvalidState, match="unsupported"):
+        convex_split_bound_check(joint, pure, 0.0, 0.5)
+
+
+def test_split_check_validates_rho_p_and_decomposes_only_the_factors(monkeypatch):
+    rho, sigma = random_split_instance(np.random.default_rng(40), 0.15)
+    validated, eigh_dims = [], []
+    validate, eigh = DensityOperator.__post_init__, np.linalg.eigh
+
+    def counting(self):
+        validated.append(self.system.labels)
+        validate(self)
+
+    def spy(a, *args, **kwargs):
+        eigh_dims.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(DensityOperator, "__post_init__", counting)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    assert convex_split_bound_check(rho, sigma, 0.0, 0.125).n == 9
+    assert validated == [("P",)]
+    assert eigh_dims and max(eigh_dims) <= 2, eigh_dims
 
 
 def _dense_split_fidelity_squared(rho_pq, sigma_q, n):
@@ -461,9 +529,53 @@ def test_free_test_weights_match_the_dense_route():
     assert np.array_equal(qsr_parameters(tiny).test_bc, np.ones(4))
 
 
+def _strip_k(obj):
+    """A transcript's JSON without its k fields."""
+    if isinstance(obj, dict):
+        return {key: _strip_k(val) for key, val in obj.items() if key != "k"}
+    return [_strip_k(val) for val in obj] if isinstance(obj, list) else obj
+
+
+def test_qsr_k_matches_the_dense_product_route(monkeypatch):
+    # the built-ins and the R-rotated instances perfbench's qsr-scaling draws at seeds 70 and
+    # 101; with the dense k put back, the parameters come out the same bits, and on the
+    # built-ins so does every transcript field but k
+    builtin = builtin_qsr_instances()
+    instances = list(builtin.values())
+    for seed in (70, 101):
+        rng = np.random.default_rng(seed)
+        instances += [replace(builtin[name], psi=_rotate_r(builtin[name].psi,
+                                                           random_unitary(2, rng)), n_override=n)
+                      for _cycle in range(4) for n in (None, 4, 5, 6) for name in sorted(builtin)]
+    for i, inst in enumerate(instances):
+        k = dense_max_relative_entropy(
+            vector_marginal(inst.psi, ["R", "B", "C"]).matrix,
+            tensor(vector_marginal(inst.psi, ["R", "B"]), inst.sigma_c).matrix)
+        if i < len(builtin):
+            assert _strip_k(qsr_full(inst).to_json()) == _strip_k(
+                _with_k(monkeypatch, k, qsr_full, inst).to_json()), inst.name
+        params = qsr_parameters(inst)
+        assert abs(params.k - k) <= 1e-12, inst.name
+        before = _with_k(monkeypatch, k, qsr_parameters, inst)
+        assert (params.n, params.b, params.b_unclamped, params.cobits, params.d_f) == (
+            before.n, before.b, before.b_unclamped, before.cobits, before.d_f), inst.name
+        assert np.array_equal(params.test_bc, before.test_bc), inst.name
+    assert abs(qsr_parameters(builtin["mismatched-prior"]).k - math.log2(7.0 / 6.0)) <= 1e-15
+
+
+def test_qsr_k_support_violation_raises():
+    # sigma_c = |0><0| misses mismatched-prior's weight 0.3 on C = 1; the instance's own
+    # check refuses such a sigma_c, so it is swapped in afterwards
+    inst = builtin_qsr_instances()["mismatched-prior"]
+    object.__setattr__(inst, "sigma_c", DensityOperator(qmat.system(("C", 2)), np.diag([1.0, 0.0])))
+    with pytest.raises(InvalidState, match="support condition"):
+        qsr_parameters(inst)
+
+
 def test_parameters_validate_only_the_states_k_needs(monkeypatch):
-    # k needs rho_RBC, rho_RB and rho_RB x sigma_c validated; the free test and the
-    # instance's support check read marginal diagonals, which need no validated state
+    # k needs only rho_RB validated, for its eigensystem: rho_RBC is read through psi's
+    # factor in the product's eigenbasis, and the free test and the instance's support
+    # check read marginal diagonals, which need no validated state
     validated = []
     validate = DensityOperator.__post_init__
 
@@ -477,7 +589,7 @@ def test_parameters_validate_only_the_states_k_needs(monkeypatch):
                 gamma=inst.gamma)
     assert validated == []
     qsr_parameters(inst)
-    assert len(validated) == 3
+    assert validated == [("R", "B")]
 
 
 def test_qsr_full_runs_all_builtins():
