@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -23,7 +24,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import rates
-from .coherence import NotFreeOperation, dephase
+from .coherence import dephase
 from .entropy import (
     EntropicValue,
     conditional_entropy,
@@ -52,16 +53,14 @@ from .protocols import (
     random_split_instance,
 )
 from .qmat import (
+    BoundViolation,
     DensityOperator,
-    DimensionMismatch,
-    InvalidState,
-    RegisterError,
     StateVector,
     partial_trace,
     system,
 )
 from .sampling import haar_vector
-from .stateio import StateFileError, load_density, load_state
+from .stateio import load_density, load_state
 
 EXIT_OK = 0
 EXIT_INFINITE = 1
@@ -76,6 +75,10 @@ class InputError(Exception):
 
 class InfiniteResult(Exception):
     """A requested quantity diverged and --allow-inf was not given."""
+
+
+class SelftestFailed(Exception):
+    """A selftest check failed; the message is the whole report."""
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +199,6 @@ def _rows_to_text(rows: list[dict[str, Any]], header: list[str], fmt: str) -> st
     return "\n".join(lines) + "\n"
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------------------
 # quantity command
 
@@ -316,102 +311,86 @@ def _transcript_text(args: argparse.Namespace, transcript) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(args: argparse.Namespace) -> str:
-    target = args.target
-    if target == "coherence-creation":
-        t = coherence_creation(args.q, args.e, budget=_budget(args))
-        return _transcript_text(args, t)
+def cmd_coherence_creation(args: argparse.Namespace) -> str:
+    return _transcript_text(args, coherence_creation(args.q, args.e, budget=_budget(args)))
 
-    if target == "convex-split":
-        rho, sigma = _split_pair(args)
-        chk = convex_split_bound_check(rho, sigma, eps=args.eps, delta=args.delta,
-                                       budget=_budget(args, MAX_DENSITY_DIM))
-        row = {"k": chk.k, "n": chk.n, "fidelity_sq": chk.fidelity_squared, "bound": chk.bound}
-        return _rows_to_text([row], ["k", "n", "fidelity_sq", "bound"], args.format)
 
-    if target == "qsr":
-        inst = _builtin_instance(args.instance)
-        changes = {}
-        for field_name in ("eps1", "eps2", "gamma", "n_override", "b_override"):
-            val = getattr(args, field_name)
-            if val is not None:
-                changes[field_name] = val
-        if changes:
-            inst = replace(inst, **changes)
-        t = qsr_full(inst, budget=_budget(args))
-        return _transcript_text(args, t)
+def cmd_convex_split(args: argparse.Namespace) -> str:
+    rho, sigma = _split_pair(args)
+    chk = convex_split_bound_check(rho, sigma, eps=args.eps, delta=args.delta,
+                                   budget=_budget(args, MAX_DENSITY_DIM))
+    row = {"k": chk.k, "n": chk.n, "fidelity_sq": chk.fidelity_squared, "bound": chk.bound}
+    return _rows_to_text([row], ["k", "n", "fidelity_sq", "bound"], args.format)
 
-    raise InputError(f"unknown simulate target {target!r}")
+
+def cmd_qsr(args: argparse.Namespace) -> str:
+    overrides = {"eps1": args.eps1, "eps2": args.eps2, "gamma": args.gamma,
+                 "n_override": args.n_override, "b_override": args.b_override}
+    inst = replace(_builtin_instance(args.instance),
+                   **{name: val for name, val in overrides.items() if val is not None})
+    return _transcript_text(args, qsr_full(inst, budget=_budget(args)))
 
 
 # ---------------------------------------------------------------------------
 # sweep command
 
-def cmd_sweep(args: argparse.Namespace) -> str:
-    target = args.target
-    if target == "copies":
-        psi = _pure_input(args)
-        if args.max_copies < 1:
-            raise InputError("empty sweep: --max-copies must be at least 1")
-        budget = _budget(args)
-        rows = []
-        for m in range(1, args.max_copies + 1):
-            _check_budget(1, psi.system.dim, m, budget, f"the {m}-copy state")
-            rep = rates.rate_report(rates.tensor_power_state(psi, m))
-            row: dict[str, Any] = {"copies": m}
-            for name, val in rep.entries().items():
-                row[f"{name}_per_copy"] = val / m
-            rows.append(row)
-        header = list(rows[0].keys())
-        return _rows_to_text(rows, header, args.format)
+def cmd_copies(args: argparse.Namespace) -> str:
+    psi = _pure_input(args)
+    if args.max_copies < 1:
+        raise InputError("empty sweep: --max-copies must be at least 1")
+    budget = _budget(args)
+    rows = []
+    for m in range(1, args.max_copies + 1):
+        _check_budget(1, psi.system.dim, m, budget, f"the {m}-copy state")
+        rep = rates.rate_report(rates.tensor_power_state(psi, m))
+        row: dict[str, Any] = {"copies": m}
+        for name, val in rep.entries().items():
+            row[f"{name}_per_copy"] = val / m
+        rows.append(row)
+    return _rows_to_text(rows, list(rows[0]), args.format)
 
-    if target == "delta":
-        deltas = _parse_float_list(args.deltas)
-        if not deltas:
-            raise InputError("empty sweep: no delta values given")
-        rho, sigma = _split_pair(args)
-        budget = _budget(args, MAX_DENSITY_DIM)
-        rows = []
-        for delta in deltas:
-            chk = convex_split_bound_check(rho, sigma, eps=args.eps, delta=delta, budget=budget)
-            rows.append({"delta": delta, "k": chk.k, "n": chk.n,
-                         "fidelity_sq": chk.fidelity_squared, "bound": chk.bound})
-        return _rows_to_text(rows, ["delta", "k", "n", "fidelity_sq", "bound"], args.format)
 
-    if target == "eps":
-        eps_values = _parse_float_list(args.eps_list)
-        if not eps_values:
-            raise InputError("empty sweep: no eps values given")
-        if args.rho is None or args.sigma is None:
-            raise InputError("eps sweep needs --rho and --sigma state files")
-        if args.budget is not None:
-            raise InputError("eps sweep takes no --budget: it materializes nothing capped")
-        rho, sigma = load_density(args.rho), load_density(args.sigma)
-        rows = []
-        for eps in eps_values:
-            value = _entropic(
-                hypothesis_testing_relative_entropy(rho, sigma, eps), args.allow_inf
-            )
-            rows.append({"eps": eps, "d_h": value})
-        return _rows_to_text(rows, ["eps", "d_h"], args.format)
+def cmd_delta(args: argparse.Namespace) -> str:
+    deltas = _parse_float_list(args.deltas)
+    if not deltas:
+        raise InputError("empty sweep: no delta values given")
+    rho, sigma = _split_pair(args)
+    budget = _budget(args, MAX_DENSITY_DIM)
+    rows = []
+    for delta in deltas:
+        chk = convex_split_bound_check(rho, sigma, eps=args.eps, delta=delta, budget=budget)
+        rows.append({"delta": delta, "k": chk.k, "n": chk.n,
+                     "fidelity_sq": chk.fidelity_squared, "bound": chk.bound})
+    return _rows_to_text(rows, ["delta", "k", "n", "fidelity_sq", "bound"], args.format)
 
-    if target == "block":
-        b_values = _parse_int_list(args.b_list)
-        if not b_values:
-            raise InputError("empty sweep: no block sizes given")
-        inst = _builtin_instance(args.instance)
-        params = qsr_parameters(inst)
-        rows = []
-        for b in b_values:
-            res = qsr_decoder_p1(inst, b, params, budget=_budget(args))
-            rows.append({"b": b, "fidelity": res.fidelity,
-                         "purified_distance": res.purified_distance,
-                         "claim_bound": res.transcript.details["claim_bound"]})
-        return _rows_to_text(
-            rows, ["b", "fidelity", "purified_distance", "claim_bound"], args.format
-        )
 
-    raise InputError(f"unknown sweep target {target!r}")
+def cmd_eps(args: argparse.Namespace) -> str:
+    eps_values = _parse_float_list(args.eps_list)
+    if not eps_values:
+        raise InputError("empty sweep: no eps values given")
+    if args.rho is None or args.sigma is None:
+        raise InputError("eps sweep needs --rho and --sigma state files")
+    rho, sigma = load_density(args.rho), load_density(args.sigma)
+    rows = []
+    for eps in eps_values:
+        value = _entropic(hypothesis_testing_relative_entropy(rho, sigma, eps), args.allow_inf)
+        rows.append({"eps": eps, "d_h": value})
+    return _rows_to_text(rows, ["eps", "d_h"], args.format)
+
+
+def cmd_block(args: argparse.Namespace) -> str:
+    b_values = _parse_int_list(args.b_list)
+    if not b_values:
+        raise InputError("empty sweep: no block sizes given")
+    inst = _builtin_instance(args.instance)
+    params = qsr_parameters(inst)
+    rows = []
+    for b in b_values:
+        res = qsr_decoder_p1(inst, b, params, budget=_budget(args))
+        rows.append({"b": b, "fidelity": res.fidelity,
+                     "purified_distance": res.purified_distance,
+                     "claim_bound": res.transcript.details["claim_bound"]})
+    return _rows_to_text(rows, ["b", "fidelity", "purified_distance", "claim_bound"], args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +402,7 @@ def _selftest_checks(seed: int) -> list[tuple[str, bool, str]]:
     def run(name: str, fn: Callable[[], tuple[bool, str]]) -> None:
         try:
             ok, info = fn()
-        except Exception as exc:  # noqa: BLE001 - report, keep testing
+        except BoundViolation as exc:  # a failed check; any other error is the run's
             ok, info = False, f"{type(exc).__name__}: {exc}"
         checks.append((name, ok, info))
 
@@ -481,23 +460,27 @@ def _selftest_checks(seed: int) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def cmd_selftest(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_selftest(args: argparse.Namespace) -> str:
     checks = _selftest_checks(args.seed)
-    lines = []
-    failed = 0
-    for name, ok, info in checks:
-        tag = "ok  " if ok else "FAIL"
-        lines.append(f"{tag} {name} ({info})")
-        failed += 0 if ok else 1
-    lines.append(f"{len(checks) - failed} of {len(checks)} checks passed")
-    return "\n".join(lines) + "\n", (EXIT_OK if failed == 0 else EXIT_BOUND)
+    lines = [f"{'ok  ' if ok else 'FAIL'} {name} ({info})" for name, ok, info in checks]
+    passed = sum(ok for _, ok, _ in checks)
+    report = "\n".join([*lines, f"{passed} of {len(checks)} checks passed"])
+    if passed < len(checks):
+        raise SelftestFailed(f"selftest failed\n{report}")
+    return report + "\n"
 
 
 # ---------------------------------------------------------------------------
 # parser and entry point
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():  # digits only: no sign, point or exponent
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 _OPTIONS: dict[str, dict[str, Any]] = {
-    "--seed": dict(type=int, default=0, help="seed for any randomness"),
+    "--seed": dict(type=_seed, default=0, help="seed for any randomness (a non-negative integer)"),
     "--format": dict(choices=("json", "csv", "pretty"), default="pretty"),
     "--out": dict(help="write output to this file instead of stdout"),
     "--budget": dict(type=int,
@@ -509,104 +492,118 @@ _OPTIONS: dict[str, dict[str, Any]] = {
 }
 
 
-def _add_options(p: argparse.ArgumentParser, *flags: str) -> None:
-    """The shared options a command reads, and only those: argparse refuses the others."""
-    for flag in flags:
+def _leaf(sub: argparse._SubParsersAction, name: str, run: Callable[[argparse.Namespace], str],
+          help: str, *shared: str) -> argparse.ArgumentParser:
+    """A command or target parser that runs ``run`` and takes the shared options it reads."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(run=run)
+    for flag in shared:
         p.add_argument(flag, **_OPTIONS[flag])
+    return p
 
 
+def _split_options(p: argparse.ArgumentParser, k_cap: float) -> None:
+    """What a convex split reads: a state pair from files, or a seeded capped draw."""
+    p.add_argument("--state", help="joint state file on P, Q")
+    p.add_argument("--sigma", help="reference state file on Q")
+    p.add_argument("--eps", type=float, default=0.0, help="smoothing radius")
+    p.add_argument("--k-cap", type=float, default=k_cap,
+                   help="correlation cap for seeded random instances")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process and shared: no caller may modify it."""
     parser = argparse.ArgumentParser(
         prog="qredist",
         description="entropic quantities, communication rates and one-shot protocol runs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = "--format", "--out"
 
-    q = sub.add_parser("quantity", help="evaluate one entropic quantity on state files")
+    q = _leaf(sub, "quantity", cmd_quantity, "evaluate one entropic quantity on state files",
+              *output, "--allow-inf")
     q.add_argument("name", choices=("s", "rc", "mi", "ch", "cmi", "d", "dmax", "dh", "df", "v"))
     q.add_argument("files", nargs="+", help="state files (one, or rho then sigma)")
     q.add_argument("--parts", help="register groups, comma separated, '+' joins")
     q.add_argument("--eps", type=float, help="error tolerance for dh and df")
-    _add_options(q, "--format", "--out", "--allow-inf")
 
-    r = sub.add_parser("rates", help="full closed-form rate report for one pure state")
+    r = _leaf(sub, "rates", cmd_rates, "full closed-form rate report for one pure state",
+              "--seed", *output, "--budget")
     r.add_argument("state", nargs="?", help="pure state file on registers R, A, B, C")
     r.add_argument("--random-qubits", type=int,
                    help="draw a seeded random pure state on this many qubits instead")
     r.add_argument("--sigma-c", help="free reference state file for the product form")
     r.add_argument("--units", choices=("qubits", "cobits"), default="qubits")
-    _add_options(r, "--seed", "--format", "--out", "--budget")
 
     s = sub.add_parser("simulate", help="run a protocol and print its transcript")
-    s.add_argument("target", choices=("coherence-creation", "convex-split", "qsr"))
-    s.add_argument("--q", type=int, default=1, help="qubit channel uses (coherence-creation)")
-    s.add_argument("--e", type=int, default=1, help="singlets available (coherence-creation)")
-    s.add_argument("--state", help="joint state file (convex-split)")
-    s.add_argument("--sigma", help="marginal reference file (convex-split)")
-    s.add_argument("--delta", type=float, default=0.25, help="overlap budget (convex-split)")
-    s.add_argument("--eps", type=float, default=0.0, help="smoothing radius (convex-split)")
-    s.add_argument("--k-cap", type=float, default=0.5,
-                   help="correlation cap for seeded random instances (convex-split)")
-    s.add_argument("--instance", default="uncorrelated-pure", help="built-in instance (qsr)")
-    s.add_argument("--eps1", type=float, help="override instance eps1 (qsr)")
-    s.add_argument("--eps2", type=float, help="override instance eps2 (qsr)")
-    s.add_argument("--gamma", type=float, help="override instance gamma (qsr)")
-    s.add_argument("--n-override", type=int, help="force the slot count (qsr)")
-    s.add_argument("--b-override", type=int, help="force the block size (qsr)")
-    _add_options(s, "--seed", "--format", "--out", "--budget")
+    targets = s.add_subparsers(dest="target", required=True)
+    c = _leaf(targets, "coherence-creation", cmd_coherence_creation,
+              "coherent qubits from qubit sends and singlets", *output, "--budget")
+    c.add_argument("--q", type=int, default=1, help="qubit channel uses")
+    c.add_argument("--e", type=int, default=1, help="singlets available")
+    c = _leaf(targets, "convex-split", cmd_convex_split, "the convex-split fidelity bound",
+              "--seed", *output, "--budget")
+    _split_options(c, 0.5)
+    c.add_argument("--delta", type=float, default=0.25, help="overlap budget")
+    c = _leaf(targets, "qsr", cmd_qsr, "state redistribution on a built-in instance",
+              *output, "--budget")
+    c.add_argument("--instance", default="uncorrelated-pure", help="built-in instance")
+    c.add_argument("--eps1", type=float, help="override instance eps1")
+    c.add_argument("--eps2", type=float, help="override instance eps2")
+    c.add_argument("--gamma", type=float, help="override instance gamma")
+    c.add_argument("--n-override", type=int, help="force the slot count")
+    c.add_argument("--b-override", type=int, help="force the block size")
 
     w = sub.add_parser("sweep", help="parameter sweeps emitting one row per value")
-    w.add_argument("target", choices=("copies", "delta", "eps", "block"))
-    w.add_argument("--state", help="input state file (copies, delta)")
-    w.add_argument("--sigma", help="reference state file (delta, eps)")
-    w.add_argument("--rho", help="tested state file (eps)")
-    w.add_argument("--random-qubits", type=int, help="seeded random input (copies)")
-    w.add_argument("--max-copies", type=int, default=3, help="largest copy count (copies)")
-    w.add_argument("--deltas", default="0.5,0.25,0.125", help="delta values (delta)")
-    w.add_argument("--eps", type=float, default=0.0, help="smoothing radius (delta)")
-    w.add_argument("--k-cap", type=float, default=0.15,
-                   help="correlation cap for seeded random instances (delta)")
-    w.add_argument("--eps-list", default="0.05,0.1,0.25", help="eps values (eps)")
-    w.add_argument("--instance", default="classical-side-info", help="built-in instance (block)")
-    w.add_argument("--b-list", default="1,2,3", help="block sizes (block)")
-    _add_options(w, "--seed", "--format", "--out", "--budget", "--allow-inf")
+    targets = w.add_subparsers(dest="target", required=True)
+    c = _leaf(targets, "copies", cmd_copies, "per-copy rates of tensor powers",
+              "--seed", *output, "--budget")
+    c.add_argument("--state", help="pure state file on registers R, A, B, C")
+    c.add_argument("--random-qubits", type=int, help="seeded random input on this many qubits")
+    c.add_argument("--max-copies", type=int, default=3, help="largest copy count")
+    c = _leaf(targets, "delta", cmd_delta, "the convex-split bound over delta",
+              "--seed", *output, "--budget")
+    _split_options(c, 0.15)
+    c.add_argument("--deltas", default="0.5,0.25,0.125", help="delta values")
+    c = _leaf(targets, "eps", cmd_eps, "hypothesis-testing relative entropy over eps",
+              *output, "--allow-inf")
+    c.add_argument("--rho", help="tested state file")
+    c.add_argument("--sigma", help="reference state file")
+    c.add_argument("--eps-list", default="0.05,0.1,0.25", help="eps values")
+    c = _leaf(targets, "block", cmd_block, "the decoder's claim bound over block sizes",
+              *output, "--budget")
+    c.add_argument("--instance", default="classical-side-info", help="built-in instance")
+    c.add_argument("--b-list", default="1,2,3", help="block sizes")
 
-    t = sub.add_parser("selftest", help="run the built-in validation battery")
-    _add_options(t, "--seed", "--out")
-
+    _leaf(sub, "selftest", cmd_selftest, "run the built-in validation battery", "--seed", "--out")
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if not args.out:
+        sys.stdout.write(text)
+        return
     try:
-        if args.command == "quantity":
-            text = cmd_quantity(args)
-        elif args.command == "rates":
-            text = cmd_rates(args)
-        elif args.command == "simulate":
-            text = cmd_simulate(args)
-        elif args.command == "sweep":
-            text = cmd_sweep(args)
-        else:
-            text, code = cmd_selftest(args)
-            _emit(args, text)
-            return code
-    except InfiniteResult as exc:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"{args.out}: {exc.strerror or exc}") from exc
+
+
+# checked in order: a BoundViolation is an ArithmeticError, every state error a ValueError
+_EXIT_CODES = {InfiniteResult: EXIT_INFINITE, BudgetExceeded: EXIT_BUDGET,
+               ArithmeticError: EXIT_BOUND, SelftestFailed: EXIT_BOUND,
+               InputError: EXIT_INPUT, ValueError: EXIT_INPUT, OSError: EXIT_INPUT}
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        _emit(args, args.run(args))
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFINITE
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except (InputError, StateFileError, RegisterError, DimensionMismatch,
-            InvalidState, NotFreeOperation, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    _emit(args, text)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     return EXIT_OK
 
 

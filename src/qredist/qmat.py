@@ -180,7 +180,8 @@ class StateVector:
             raise DimensionMismatch(
                 f"vector of length {amps.shape[0]} on a system of dimension {self.system.dim}"
             )
-        nrm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):  # an overflowing norm is refused, not warned about
+            nrm = float(np.linalg.norm(amps))
         if abs(nrm - 1.0) > NORM_TOL:
             raise InvalidState(f"state vector norm {nrm} deviates from 1 beyond {NORM_TOL}")
 
@@ -209,7 +210,8 @@ class DensityOperator:
         if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
             raise InvalidState("matrix is not Hermitian within tolerance")
         _check_psd(mat)
-        tr = float(mat.trace().real)
+        with np.errstate(over="ignore"):  # likewise an overflowing trace
+            tr = float(mat.trace().real)
         if self.subnormalized:
             if tr > 1.0 + NORM_TOL or tr < -NORM_TOL:
                 raise InvalidState(f"subnormalized trace {tr} outside [0, 1]")

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import math
 import os
@@ -9,9 +11,12 @@ import numpy as np
 import pytest
 
 import qredist
-from qredist import qmat
-from qredist.cli import main
-from qredist.qmat import DensityOperator, StateVector
+from cli_helpers import leaf_parsers, options
+from qredist import cli, qmat
+from qredist.cli import build_parser, main
+from qredist.protocols import random_split_instance
+from qredist.qmat import BoundViolation, DensityOperator, StateVector
+from qredist.sampling import random_pure_state
 from qredist.stateio import save_state
 
 
@@ -55,6 +60,22 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(argv):
+    """Run the command line in a new interpreter."""
+    src = str(Path(qredist.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "qredist.cli", *argv], capture_output=True,
+                          text=True, timeout=30, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_or_exit(capsys, argv):
+    """Like ``run``, counting argparse's refusal (``SystemExit``) as its exit code."""
+    try:
+        return run(capsys, argv)
+    except SystemExit as exc:
+        return exc.code, *capsys.readouterr()
 
 
 # --------------------------------------------------------------------------
@@ -403,17 +424,21 @@ def test_budget_below_one_is_bad_input(capsys, command):
     ["selftest", "--budget", "5"],
     ["selftest", "--allow-inf"],
     ["sweep", "eps", "--rho", "mix.json", "--sigma", "id2.json", "--budget", "5"],
+    ["simulate", "qsr", "--seed", "5"],
+    ["simulate", "qsr", "--q", "9"],
+    ["simulate", "coherence-creation", "--instance", "x"],
+    ["simulate", "convex-split", "--n-override", "3"],
+    ["sweep", "block", "--allow-inf"],
+    ["sweep", "copies", "--random-qubits", "4", "--deltas", "1"],
+    ["sweep", "eps", "--rho", "mix.json", "--sigma", "id2.json", "--seed", "1"],
 ])
 def test_options_a_command_never_reads_are_refused(capsys, files, command):
-    # each of these exited 0 with the option ignored; argparse now exits 2 on an unknown
-    # option, and sweep eps, which shares its parser with the capped targets, refuses --budget
+    # each of these exited 0 with the option ignored; each command and each simulate or
+    # sweep target has its own parser, and argparse exits 2 on an option it does not take
     argv = [files.get(arg, arg) for arg in command]
-    try:
-        code, out, err = run(capsys, argv)
-    except SystemExit as exc:
-        code, out, err = exc.code, *capsys.readouterr()
+    code, out, err = run_or_exit(capsys, argv)
     assert (code, out) == (2, "")
-    assert "budget" in err if command[0] == "sweep" else "unrecognized arguments" in err
+    assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("command", (["simulate", "convex-split"], ["sweep", "delta"]))
@@ -437,10 +462,7 @@ def test_convex_split_respects_budget(capsys, command):
 def test_budget_refuses_astronomical_counts(command):
     # regression: each of these formed a count of 10^7 to 10^11+ digits (hanging, or
     # exiting 2 when the message printed it) or overflowed a float slot count (exit 4)
-    src = str(Path(qredist.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "qredist.cli", *command], capture_output=True,
-                          text=True, timeout=30, env={**os.environ, "PYTHONPATH": path})
+    proc = run_fresh(command)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert "budget" in proc.stderr
 
@@ -504,3 +526,110 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "7 of 7 checks passed" in out
     assert "FAIL" not in out
+
+
+def test_selftest_passes_at_another_seed(capsys):
+    code, out, _ = run(capsys, ["selftest", "--seed", "3"])
+    assert (code, out.splitlines()[-1]) == (0, "7 of 7 checks passed")
+
+
+def test_selftest_reports_a_violated_bound_on_stderr(capsys, monkeypatch):
+    def violated(*args, **kwargs):
+        raise BoundViolation("convex split fidelity^2: measured 0.5")
+
+    monkeypatch.setattr(cli, "convex_split_bound_check", violated)
+    code, out, err = run(capsys, ["selftest"])
+    assert (code, out) == (4, "")
+    assert "FAIL convex split fidelity bound (BoundViolation: convex split" in err
+    assert "6 of 7 checks passed" in err
+
+
+def test_selftest_counts_only_violated_bounds_as_failures(capsys, monkeypatch):
+    # regression: every exception in a check read as a failed bound (exit 4), so a bad seed
+    # printed three FAIL lines; an input error now exits 2 from the error map
+    def refused(rho):
+        raise ValueError("expected non-negative integer")
+
+    monkeypatch.setattr(cli, "relative_entropy_of_coherence", refused)
+    code, out, err = run(capsys, ["selftest"])
+    assert (code, out) == (2, "")
+    assert err == "error: expected non-negative integer\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["selftest", "--seed", "-5"],
+    ["simulate", "convex-split", "--seed", "-1"],
+    ["sweep", "delta", "--seed", "-1"],
+    ["rates", "--random-qubits", "4", "--seed", "-1"],
+    ["sweep", "copies", "--random-qubits", "4", "--seed", "1.5"],
+])
+def test_seed_must_be_a_non_negative_integer(capsys, command):
+    # regression: selftest --seed -5 exited 4, the code of a violated bound
+    code, out, err = run_or_exit(capsys, command)
+    assert (code, out) == (2, "")
+    assert "argument --seed: expected a non-negative integer" in err
+
+
+def test_out_into_a_missing_directory_is_bad_input(capsys, tmp_path):
+    # regression: the file was written outside the error map, so this printed a
+    # FileNotFoundError traceback and exited 1, the code of an infinite quantity
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, ["rates", "--random-qubits", "4", "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {target}: No such file or directory\n"
+
+
+def _function_reads(tree):
+    """``args.<name>`` reads per module function: its own, and with the functions it names."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def own(name):
+        return {node.attr for node in ast.walk(functions[name])
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"}
+
+    def reachable(name):
+        seen, todo = set(), [name]
+        while todo:
+            fn = todo.pop()
+            if fn not in seen:
+                seen.add(fn)
+                todo += [node.id for node in ast.walk(functions[fn])
+                         if isinstance(node, ast.Name) and node.id in functions]
+        return set().union(*map(own, seen))
+
+    return own, reachable
+
+
+def test_every_flag_a_leaf_takes_is_read():
+    # a flag that a command or target takes but never reads would be ignored silently
+    own, reachable = _function_reads(ast.parse(inspect.getsource(cli)))
+    shared = own("main") | own("_emit")
+    for path, parser in leaf_parsers():
+        read = reachable(parser.get_default("run").__name__) | shared
+        unread = {action.dest for action in options(parser)} - read
+        assert not unread, f"{' '.join(path)} takes {sorted(unread)} and never reads them"
+
+
+def test_cached_parser_leaks_nothing_between_calls(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    paths = {name: str(tmp_path / name) for name in ("psi.json", "s.json", "a.json", "b.json")}
+    save_state(paths["psi.json"],
+               random_pure_state(qmat.qubits("R", "A", "B", "C"), np.random.default_rng(2)))
+    save_state(paths["s.json"], DensityOperator(qmat.system(("C", 2)), np.diag([0.7, 0.3])))
+    rho, sigma = random_split_instance(np.random.default_rng(4), 0.3)
+    save_state(paths["a.json"], rho)
+    save_state(paths["b.json"], sigma)
+    pairs = [
+        (["simulate", "qsr", "--instance", "mismatched-prior", "--n-override", "4",
+          "--format", "json"], ["simulate", "qsr", "--format", "json"]),
+        (["rates", "psi.json", "--sigma-c", "s.json"], ["rates", "psi.json"]),
+        (["sweep", "delta", "--state", "a.json", "--sigma", "b.json"], ["sweep", "delta"]),
+    ]
+    for first, second in pairs:
+        first, second = ([paths.get(arg, arg) for arg in argv] for argv in (first, second))
+        assert run(capsys, first)[0] == 0
+        code, out, _ = run(capsys, second)
+        fresh = run_fresh(second)
+        assert (code, out) == (fresh.returncode, fresh.stdout) and code == 0
+        assert build_parser().parse_args(second) == build_parser.__wrapped__().parse_args(second)

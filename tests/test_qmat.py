@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,18 @@ _NON_FINITE = {
 def test_validated_classes_reject_non_finite(cls, bad):
     with pytest.raises(InvalidState, match="non-finite"):
         _NON_FINITE[cls](bad)
+
+
+@pytest.mark.parametrize("make", [lambda big: StateVector(qmat.qubits("Q"), big),
+                                  lambda big: DensityOperator(qmat.qubits("Q"), np.diag(big))],
+                         ids=["StateVector", "DensityOperator"])
+def test_overflowing_norm_is_refused_without_a_warning(make):
+    # regression: 1e308 entries overflowed the norm or trace with a RuntimeWarning, which
+    # the command line printed on stderr before its error message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidState, match="inf deviates from 1"):
+            make(np.array([1e308, 1e308]))
 
 
 def test_density_operator_validation():
