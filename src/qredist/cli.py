@@ -96,12 +96,7 @@ def _parse_parts(text: str, count: int | None = None) -> list[list[str]]:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if piece:
-            out.append(float(piece))
-    return out
+    return [float(piece) for piece in text.split(",") if piece.strip()]
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -267,7 +262,7 @@ def cmd_quantity(args: argparse.Namespace) -> str:
 
 def cmd_rates(args: argparse.Namespace) -> str:
     psi = _pure_input(args)
-    sigma_c = load_density(args.sigma_c) if args.sigma_c else None
+    sigma_c = None if args.sigma_c is None else load_density(args.sigma_c)
     units = rates.COBIT_UNITS if args.units == "cobits" else rates.QUBIT_UNITS
     report = rates.rate_report(psi, sigma_c).in_units(units)
     if args.format == "json":
@@ -479,10 +474,26 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got an empty string")
+    return text
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses unknown arguments itself, not through its parent, so the error shows its usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 _OPTIONS: dict[str, dict[str, Any]] = {
     "--seed": dict(type=_seed, default=0, help="seed for any randomness (a non-negative integer)"),
     "--format": dict(choices=("json", "csv", "pretty"), default="pretty"),
-    "--out": dict(help="write output to this file instead of stdout"),
+    "--out": dict(type=_path, help="write output to this file instead of stdout"),
     "--budget": dict(type=int,
                      help=f"largest state vector a run may materialize (default {MAX_AMPLITUDES}); "
                           f"for a convex split, its largest density dimension "
@@ -504,8 +515,8 @@ def _leaf(sub: argparse._SubParsersAction, name: str, run: Callable[[argparse.Na
 
 def _split_options(p: argparse.ArgumentParser, k_cap: float) -> None:
     """What a convex split reads: a state pair from files, or a seeded capped draw."""
-    p.add_argument("--state", help="joint state file on P, Q")
-    p.add_argument("--sigma", help="reference state file on Q")
+    p.add_argument("--state", type=_path, help="joint state file on P, Q")
+    p.add_argument("--sigma", type=_path, help="reference state file on Q")
     p.add_argument("--eps", type=float, default=0.0, help="smoothing radius")
     p.add_argument("--k-cap", type=float, default=k_cap,
                    help="correlation cap for seeded random instances")
@@ -514,7 +525,7 @@ def _split_options(p: argparse.ArgumentParser, k_cap: float) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser tree, built once per process and shared: no caller may modify it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qredist",
         description="entropic quantities, communication rates and one-shot protocol runs",
     )
@@ -524,16 +535,16 @@ def build_parser() -> argparse.ArgumentParser:
     q = _leaf(sub, "quantity", cmd_quantity, "evaluate one entropic quantity on state files",
               *output, "--allow-inf")
     q.add_argument("name", choices=("s", "rc", "mi", "ch", "cmi", "d", "dmax", "dh", "df", "v"))
-    q.add_argument("files", nargs="+", help="state files (one, or rho then sigma)")
+    q.add_argument("files", nargs="+", type=_path, help="state files (one, or rho then sigma)")
     q.add_argument("--parts", help="register groups, comma separated, '+' joins")
     q.add_argument("--eps", type=float, help="error tolerance for dh and df")
 
     r = _leaf(sub, "rates", cmd_rates, "full closed-form rate report for one pure state",
               "--seed", *output, "--budget")
-    r.add_argument("state", nargs="?", help="pure state file on registers R, A, B, C")
+    r.add_argument("state", nargs="?", type=_path, help="pure state file on registers R, A, B, C")
     r.add_argument("--random-qubits", type=int,
                    help="draw a seeded random pure state on this many qubits instead")
-    r.add_argument("--sigma-c", help="free reference state file for the product form")
+    r.add_argument("--sigma-c", type=_path, help="free reference state file for the product form")
     r.add_argument("--units", choices=("qubits", "cobits"), default="qubits")
 
     s = sub.add_parser("simulate", help="run a protocol and print its transcript")
@@ -559,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     targets = w.add_subparsers(dest="target", required=True)
     c = _leaf(targets, "copies", cmd_copies, "per-copy rates of tensor powers",
               "--seed", *output, "--budget")
-    c.add_argument("--state", help="pure state file on registers R, A, B, C")
+    c.add_argument("--state", type=_path, help="pure state file on registers R, A, B, C")
     c.add_argument("--random-qubits", type=int, help="seeded random input on this many qubits")
     c.add_argument("--max-copies", type=int, default=3, help="largest copy count")
     c = _leaf(targets, "delta", cmd_delta, "the convex-split bound over delta",
@@ -568,8 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--deltas", default="0.5,0.25,0.125", help="delta values")
     c = _leaf(targets, "eps", cmd_eps, "hypothesis-testing relative entropy over eps",
               *output, "--allow-inf")
-    c.add_argument("--rho", help="tested state file")
-    c.add_argument("--sigma", help="reference state file")
+    c.add_argument("--rho", type=_path, help="tested state file")
+    c.add_argument("--sigma", type=_path, help="reference state file")
     c.add_argument("--eps-list", default="0.05,0.1,0.25", help="eps values")
     c = _leaf(targets, "block", cmd_block, "the decoder's claim bound over block sizes",
               *output, "--budget")
@@ -581,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if not args.out:
+    if args.out is None:
         sys.stdout.write(text)
         return
     try:

@@ -99,25 +99,16 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> EntropicVa
                                       _kernel_mass(rho.matrix, evs, vecs), evs)
 
 
-def _relative_entropy_factor(x: np.ndarray, evs: np.ndarray, vecs: np.ndarray,
-                             s: np.ndarray) -> EntropicValue:
-    """D(rho||tau x diag(s)) for rho = X X^dag on two registers, without forming rho.
-
-    X has shape (d_1, d_2, d_rest): rho's factor on registers 1 and 2 against everything
-    else.  tau has eigenvalues evs and eigenvector columns vecs on register 1, so sigma has
-    eigenvalues kron(evs, s) and eigenvectors kron(vecs, 1).  rho's spectrum is the squared
-    singular values of X as a (d_1 d_2) x d_rest matrix; with Y = vecs^dag X on register 1,
-    rho's weight on each eigenvector of sigma is a row norm of Y squared, and rho compressed
-    onto sigma's kernel is Z Z^dag for Y's rows Z on that kernel.
-    """
-    d_1, d_2, d_rest = x.shape
-    sigma_evs = np.kron(evs, s)
-    y = (vecs.conj().T @ x.reshape(d_1, -1)).reshape(d_1 * d_2, d_rest)
+def _relative_entropy_factor(x: np.ndarray, y: np.ndarray, evs: np.ndarray) -> EntropicValue:
+    """D(rho||sigma) for rho = X X^dag, without forming rho: Y = V^dag X for sigma's eigenvalues
+    evs and eigenvector columns V.  rho's spectrum is X's squared singular values, its weights
+    on sigma's eigenvectors are Y's squared row norms, and rho compressed onto sigma's kernel
+    is Z Z^dag for Y's rows Z on that kernel."""
     weights = np.sum(y.real ** 2 + y.imag ** 2, axis=1)
-    kernel = y[sigma_evs <= EIG_FLOOR]
+    kernel = y[evs <= EIG_FLOOR]
     mass = float(np.linalg.svd(kernel, compute_uv=False)[0] ** 2) if len(kernel) else 0.0
-    evr = np.linalg.svd(x.reshape(d_1 * d_2, d_rest), compute_uv=False) ** 2
-    return _relative_entropy_spectral(evr, weights, mass, sigma_evs)
+    evr = np.linalg.svd(x, compute_uv=False) ** 2
+    return _relative_entropy_spectral(evr, weights, mass, evs)
 
 
 def _relative_entropy_spectral(evr: np.ndarray, weights: np.ndarray, kernel_mass: float,

@@ -176,11 +176,13 @@ def coherence_creation(q: int, e: int, budget: int = MAX_AMPLITUDES) -> Protocol
     def bob_rc() -> float:
         return entropy_of_probs(np.abs(bob_amps) ** 2)
 
+    # every singlet is rotated alike and decoded by the same controlled-Z: check both once
+    pair = (_HADAMARD @ _BELL.reshape(2, 2)).reshape(-1)  # Alice-side rotation on her half
+    if np.max(np.abs(pair - _ROTATED_PAIR)) > 1e-12:
+        raise InvalidState("rotated singlet deviates from its closed form")
+    IncoherentKrausSet(KrausChannel(qmat.qubits("a", "b"), qmat.qubits("a", "b"), (_CZ,)))
+
     for i in range(m):
-        pair = _HADAMARD @ _BELL.reshape(2, 2)  # Alice-side rotation on her half
-        pair = pair.reshape(-1)
-        if np.max(np.abs(pair - _ROTATED_PAIR)) > 1e-12:
-            raise InvalidState("rotated singlet deviates from its closed form")
         t.add(f"alice rotates singlet {i + 1} with a Hadamard on her half")
         rc_before = bob_rc()
         # Bob's half was maximally mixed; after the send he holds the pure pair
@@ -192,9 +194,6 @@ def coherence_creation(q: int, e: int, budget: int = MAX_AMPLITUDES) -> Protocol
         )
         rc_after = bob_rc()
         audit.append({"step": len(t.steps), "rc_gain": rc_after - rc_before})
-        IncoherentKrausSet(
-            KrausChannel(qmat.qubits("a", "b"), qmat.qubits("a", "b"), (_CZ,))
-        )
         sys_ = RegisterSystem(tuple(bob_regs))
         bob_amps, _ = apply_subsystem_matrix(
             bob_amps, sys_, _CZ, [f"Q{2 * i + 1}", f"Q{2 * i + 2}"]
@@ -543,6 +542,18 @@ def _marginal_diagonal(psi: StateVector, keep: Sequence[str]) -> np.ndarray:
     return np.diagonal(x @ x.conj().T).real
 
 
+def _rbc_product_frame(psi: StateVector, rho_rb: np.ndarray,
+                       s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi's factor X on (RB, C | rest), so rho_RBC = X X^dag, with Y = (U^dag x 1_C) X and
+    kron(e, s): for (e, U) = eigh(rho_RB), rho_RB x diag(s) has eigenvalues kron(e, s) and
+    eigenvectors U x 1_C, in which rho_RBC is Y Y^dag.  Nothing of size d_RBC^2 is formed."""
+    e, u = np.linalg.eigh(rho_rb)
+    x = vector_factor_matrix(psi.amplitudes, psi.system.dims,
+                             [psi.system.axis(lab) for lab in ("R", "B", "C")])
+    y = (u.conj().T @ x.reshape(len(e), -1)).reshape(x.shape)
+    return x, y, np.kron(e, s)
+
+
 @dataclass(frozen=True)
 class QsrInstance:
     """A redistribution task: move C from Alice to Bob against side information.
@@ -594,15 +605,10 @@ class QsrParameters:
 def qsr_parameters(instance: QsrInstance) -> QsrParameters:
     """Slot count, block size and the optimal free test, as Pi's diagonal, for an instance."""
     psi = instance.psi
-    # k = D_max(rho_RBC||rho_RB x sigma_c) in the eigenbasis U x 1_C of the product, from
-    # (e, U) = eigh(rho_RB) and sigma_c's diagonal: rho_RBC there is Y Y^dag with
-    # Y = (U^dag x 1_C) X for psi's factor X on (RB, C | A), so rho_RBC is never validated
-    e, u = np.linalg.eigh(vector_marginal(psi, ["R", "B"]).matrix)
-    x = vector_factor_matrix(psi.amplitudes, psi.system.dims,
-                             [psi.system.axis(lab) for lab in ("R", "B", "C")])
-    y = (u.conj().T @ x.reshape(len(e), -1)).reshape(x.shape)
-    kval = _max_relative_entropy_eig(y @ y.conj().T,
-                                     np.kron(e, np.diagonal(instance.sigma_c.matrix).real))
+    s = np.diagonal(instance.sigma_c.matrix).real
+    # k = D_max(rho_RBC||rho_RB x sigma_c), read in the product's eigenbasis
+    _, y, evs = _rbc_product_frame(psi, vector_marginal(psi, ["R", "B"]).matrix, s)
+    kval = _max_relative_entropy_eig(y @ y.conj().T, evs)
     if not kval.finite:
         raise InvalidState("instance violates the support condition against sigma_c")
     delta = instance.eps1 ** 2
@@ -613,7 +619,7 @@ def qsr_parameters(instance: QsrInstance) -> QsrParameters:
 
     d_f_val, test_bc = diagonal_hypothesis_test(
         _marginal_diagonal(psi, ["B", "C"]),
-        np.kron(_marginal_diagonal(psi, ["B"]), np.diagonal(instance.sigma_c.matrix).real),
+        np.kron(_marginal_diagonal(psi, ["B"]), s),
         instance.eps2 ** 4,
     )
     d_f = float(d_f_val)

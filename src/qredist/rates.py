@@ -11,6 +11,7 @@ either view.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -26,7 +27,7 @@ from .entropy import (
     relative_entropy_of_coherence,
     von_neumann_entropy,
 )
-from .protocols import QsrInstance, check_free_sigma_c, qsr_parameters
+from .protocols import QsrInstance, _rbc_product_frame, check_free_sigma_c, qsr_parameters
 from .qmat import (
     EIG_FLOOR,
     DensityOperator,
@@ -35,10 +36,6 @@ from .qmat import (
     RegisterSystem,
     StateVector,
     _check_bound,
-    permute_vector,
-    relabel_vector,
-    tensor_vectors,
-    vector_factor_matrix,
     vector_marginal,
 )
 
@@ -191,15 +188,13 @@ class _PureMarginals:
         A dephased state is its diagonal, so no dephased matrix is formed.  The
         relative-entropy form takes R_c(rho) = D(rho||dephased rho) as the entropy of rho's
         diagonal minus a fresh S(rho), so rho_BC is formed and validated for its diagonal
-        and decomposed once for this form.  The product form is D(rho_RBC||rho_RB x sigma)
-        minus the classical relative entropy of rho_BC's diagonal against kron(rho_B's
-        diagonal, s), for s the diagonal of the free sigma (diagonal up to COHERENCE_TOL; the
-        form is taken against s).  Its first term never forms rho_RBC: rho_RB x sigma has
-        eigenvalues kron(e, s) and eigenvectors kron(U, 1_C) from (e, U) = eigh(rho_RB),
-        rho_RBC's spectrum is the squared singular values of psi's factor X on
-        (RB, C | rest), rho_RBC = X X^dag, and its weights and support check come from
-        U^dag X.  That SVD is of X itself, not of the marginal on the rest that S(RBC) above
-        decomposes, so the product form stays independent of the Schmidt-side entropies.
+        and decomposed once for this form.  The product form is D(rho_RBC||rho_RB x sigma),
+        read in the eigenframe of _rbc_product_frame, minus the classical relative entropy
+        of rho_BC's diagonal against kron(rho_B's diagonal, s), for s the diagonal of the
+        free sigma (diagonal up to COHERENCE_TOL; the form is taken against s).  Its first
+        term's spectrum is the SVD of psi's factor X, not of the marginal on the rest that
+        S(RBC) above decomposes, so the product form stays independent of the Schmidt-side
+        entropies.
         """
         cmi = self.cmi()
         rho_bc, rho_b = self.rho("B", "C"), self.rho("B")
@@ -209,11 +204,7 @@ class _PureMarginals:
 
         # the oracle that would catch a wrong entropy above
         s = self.free_sigma(sigma_c)
-        e, u = np.linalg.eigh(self.rho("R", "B").matrix)
-        sys_ = self.psi.system
-        x = vector_factor_matrix(self.psi.amplitudes, sys_.dims,
-                                 [sys_.axis(lab) for lab in ("R", "B", "C")])
-        d1 = _relative_entropy_factor(x.reshape(len(e), len(s), -1), e, u, s)
+        d1 = _relative_entropy_factor(*_rbc_product_frame(self.psi, self.rho("R", "B").matrix, s))
         p_bc = np.diagonal(rho_bc.matrix).real
         q_bc = np.kron(np.diagonal(rho_b.matrix).real, s)
         kernel_mass = float(np.max(p_bc[q_bc <= EIG_FLOOR], initial=0.0))
@@ -345,11 +336,10 @@ def tensor_power_state(psi: StateVector, m: int) -> StateVector:
         raise ValueError(f"copy count must be positive, got {m}")
     if m == 1:
         return psi
-    labels = list(psi.system.labels)
-    big = relabel_vector(psi, {lab: f"{lab}#1" for lab in labels})
-    for i in range(2, m + 1):
-        big = tensor_vectors(big, relabel_vector(psi, {lab: f"{lab}#{i}" for lab in labels}))
-    grouped = [f"{lab}#{i}" for lab in labels for i in range(1, m + 1)]
-    big = permute_vector(big, grouped)
+    amps = functools.reduce(np.kron, [psi.amplitudes] * m)
+    k = len(psi.system.dims)
+    # axis i k + j of the m-fold product is copy i of register j; group each register's copies
+    grouped = amps.reshape(psi.system.dims * m).transpose(
+        [i * k + j for j in range(k) for i in range(m)])
     merged = RegisterSystem(tuple((lab, d ** m) for lab, d in psi.system.registers))
-    return StateVector(merged, big.amplitudes)
+    return StateVector(merged, grouped.reshape(-1))

@@ -434,11 +434,34 @@ def test_budget_below_one_is_bad_input(capsys, command):
 ])
 def test_options_a_command_never_reads_are_refused(capsys, files, command):
     # each of these exited 0 with the option ignored; each command and each simulate or
-    # sweep target has its own parser, and argparse exits 2 on an option it does not take
+    # sweep target has its own parser, which exits 2 on an option it does not take and
+    # prints its own usage line, not the top-level one
     argv = [files.get(arg, arg) for arg in command]
     code, out, err = run_or_exit(capsys, argv)
     assert (code, out) == (2, "")
     assert "unrecognized arguments" in err
+    leaf = command[:2] if command[0] in ("simulate", "sweep") else command[:1]
+    assert f"usage: qredist {' '.join(leaf)} [-h]" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["simulate", "convex-split", "--sigma", "id2.json", "--state", ""], "--state"),
+    (["simulate", "convex-split", "--state", "mix.json", "--sigma", ""], "--sigma"),
+    (["sweep", "eps", "--sigma", "id2.json", "--rho", ""], "--rho"),
+    (["sweep", "copies", "--state", ""], "--state"),
+    (["rates", "--random-qubits", "4", "--sigma-c", ""], "--sigma-c"),
+    (["rates", ""], "state"),
+    (["quantity", "s", ""], "files"),
+    (["selftest", "--out", ""], "--out"),
+])
+def test_empty_paths_are_refused(capsys, files, command, flag):
+    # regression: an empty --sigma-c or --out was read as absent (exit 0, with the default
+    # sigma_C or stdout), and an empty state file was reported as ": No such file or
+    # directory", which names no path
+    argv = [files.get(arg, arg) for arg in command]
+    code, out, err = run_or_exit(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: expected a file path, got an empty string" in err
 
 
 @pytest.mark.parametrize("command", (["simulate", "convex-split"], ["sweep", "delta"]))

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qredist import entropy, qmat, rates
+from qredist import entropy, protocols, qmat, rates
 from qredist.cli import main
 from qredist.protocols import builtin_qsr_instances
 from qredist.coherence import NotFreeOperation, dephase
@@ -361,9 +361,8 @@ def test_product_form_support_check_at_the_tolerance(tmp_path, capsys, weight, f
     evs, vecs = np.linalg.eigh(qmat.tensor(rho_rb, sigma).matrix)
     rho_rbc = qmat.vector_marginal(psi, ["R", "B", "C"])
     dense_finite = entropy._kernel_mass(rho_rbc.matrix, evs, vecs) <= entropy.SUPPORT_TOL
-    e, u = np.linalg.eigh(rho_rb.matrix)
-    x = qmat.vector_factor_matrix(psi.amplitudes, psi.system.dims, [0, 2, 3])
-    factored = entropy._relative_entropy_factor(x.reshape(4, 3, -1), e, u, s)
+    factored = entropy._relative_entropy_factor(
+        *protocols._rbc_product_frame(psi, rho_rb.matrix, s))
     assert factored.finite == dense_finite == finite
     psi_path, sigma_path = str(tmp_path / "psi.json"), str(tmp_path / "sigma.json")
     save_state(psi_path, psi)
@@ -375,6 +374,24 @@ def test_product_form_support_check_at_the_tolerance(tmp_path, capsys, weight, f
         assert all(math.isfinite(v) for v in json.loads(out)["rates"].values())
     else:
         assert code == 2 and out == ""
+
+
+def test_report_and_parameters_build_the_product_frame_once(monkeypatch):
+    # psi's frame against rho_RB x sigma_C has one builder, which the rate report's product
+    # form and the redistribution parameters' slot count each call once
+    calls = []
+
+    def spied(*args, _inner=protocols._rbc_product_frame):
+        calls.append(args[0])
+        return _inner(*args)
+
+    for module in (protocols, rates):
+        monkeypatch.setattr(module, "_rbc_product_frame", spied)
+    inst = builtin_qsr_instances()["mismatched-prior"]
+    rate_report(inst.psi, inst.sigma_c)
+    assert calls == [inst.psi]
+    protocols.qsr_parameters(inst)
+    assert calls == [inst.psi, inst.psi]
 
 
 def test_rate_report_holds_no_matrix_of_rbc_size():
