@@ -5,7 +5,9 @@ Relative-entropy-type quantities return an :class:`EntropicValue` whose
 hypothesis-testing quantity routes commuting pairs through an exact
 classical Neyman-Pearson solver and non-commuting pairs through a search
 over the threshold-test family: a binary search over the breakpoints of the
-pencil (rho, sigma), then an Illinois iteration between two of them.
+pencil (rho, sigma), then an Illinois iteration between two of them.  Both
+routes end in the same classical fill, in the joint eigenbasis or in the
+eigenbasis of rho - mu sigma at the threshold mu.
 """
 
 from __future__ import annotations
@@ -148,31 +150,26 @@ def _max_relative_entropy_eig(rho_mat: np.ndarray, evs: np.ndarray) -> EntropicV
 
 
 def _joint_eigensystem(rho_mat: np.ndarray, sigma_mat: np.ndarray):
-    """Probabilities and joint eigenbasis for a commuting Hermitian pair."""
+    """Probabilities and joint eigenbasis for a commuting Hermitian pair.
+
+    rho is read in sigma's eigenbasis, where it is block diagonal over sigma's degenerate
+    runs (eigenvalue gaps up to 1e-10); only a run wider than one needs its own eigh."""
     d = rho_mat.shape[0]
     off_r = np.max(np.abs(rho_mat - np.diag(np.diagonal(rho_mat))))
     off_s = np.max(np.abs(sigma_mat - np.diag(np.diagonal(sigma_mat))))
     if off_r <= 1e-12 and off_s <= 1e-12:
         # both diagonal: keep the computational basis so tests stay diagonal
         return np.diagonal(rho_mat).real.copy(), np.diagonal(sigma_mat).real.copy(), np.eye(d, dtype=complex)
-    evs, vecs = np.linalg.eigh(sigma_mat)
-    p = np.empty(d)
-    q = np.empty(d)
-    joint = np.empty((d, d), dtype=complex)
-    i = 0
-    while i < d:
-        j = i + 1
-        while j < d and evs[j] - evs[j - 1] <= 1e-10:
-            j += 1
-        block = vecs[:, i:j]
-        comp = block.conj().T @ rho_mat @ block
-        ev_r, vec_r = np.linalg.eigh((comp + comp.conj().T) / 2)
-        cols = block @ vec_r
-        p[i:j] = ev_r
-        q[i:j] = _spectral_weights(cols, sigma_mat)
-        joint[:, i:j] = cols
-        i = j
-    return p, q, joint
+    evs, joint = np.linalg.eigh(sigma_mat)
+    rho_eig = joint.conj().T @ rho_mat @ joint
+    p = np.diagonal(rho_eig).real.copy()
+    edges = np.r_[0, np.flatnonzero(np.diff(evs) > 1e-10) + 1, d]
+    for i, j in zip(edges[:-1], edges[1:]):
+        if j - i > 1:
+            comp = rho_eig[i:j, i:j]
+            p[i:j], vec_r = np.linalg.eigh((comp + comp.conj().T) / 2)
+            joint[:, i:j] = joint[:, i:j] @ vec_r
+    return p, _spectral_weights(joint, sigma_mat), joint
 
 
 def _classical_np_test(p: np.ndarray, q: np.ndarray, eps: float):
@@ -238,7 +235,11 @@ def _threshold_test(rho_mat: np.ndarray, sigma_mat: np.ndarray, eps: float):
     bracket, a binary search over the breakpoints inside it either finds mu on a jump (1 - eps
     between the one-sided limits of c there) or leaves one smooth stretch, where an Illinois
     (modified false-position) iteration finds mu, with a bisection step whenever the bracket
-    has not halved within three steps.  Returns (beta or None for an infinity, test operator).
+    has not halved within three steps.  The test is then the classical Neyman-Pearson fill in
+    the eigenbasis V of rho - lo sigma: each eigenvector carries rho-weight p and sigma-weight q
+    with eigenvalue p - lo q, so the likelihood-ratio order fills the positive part first and
+    puts the fractional weight on the boundary.  Returns (beta or None for an infinity,
+    Pi = (V w) V^dag for the fill's weights w).
     """
     d = rho_mat.shape[0]
     target = 1.0 - eps
@@ -325,24 +326,9 @@ def _threshold_test(rho_mat: np.ndarray, sigma_mat: np.ndarray, eps: float):
         if hi - lo <= 0.5 * mark:
             mark, since = hi - lo, 0
 
-    evals, vecs, pw = decompose(lo) if lo_dec is None else lo_dec
-    scale = float(np.max(np.abs(evals))) if d else 1.0
-    btol = max(1e-11, 4.0 * (hi - lo) * max(1.0, float(np.linalg.norm(sigma_mat, 2))))
-    for _ in range(40):
-        pos = evals > btol
-        bnd = np.abs(evals) <= btol
-        cap_pos = float(np.sum(pw[pos]))
-        cap_bnd = float(np.sum(pw[bnd]))
-        if cap_pos <= target + 1e-9 and cap_pos + cap_bnd >= target - 1e-9:
-            break
-        btol *= 10.0
-        if btol > max(1.0, scale):
-            break
-    w = 0.0 if cap_bnd <= 1e-15 else min(max((target - cap_pos) / cap_bnd, 0.0), 1.0)
-    qw = _spectral_weights(vecs, sigma_mat)
-    beta = float(np.sum(qw[pos]) + w * np.sum(qw[bnd]))
-    pi = (vecs[:, pos] @ vecs[:, pos].conj().T) + w * (vecs[:, bnd] @ vecs[:, bnd].conj().T)
-    return beta, pi
+    _, vecs, pw = decompose(lo) if lo_dec is None else lo_dec
+    beta, w = _classical_np_test(pw, _spectral_weights(vecs, sigma_mat), eps)
+    return beta, (vecs * w) @ vecs.conj().T
 
 
 def _commutes(comm: np.ndarray) -> bool:

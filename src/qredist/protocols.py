@@ -32,7 +32,6 @@ from .qmat import (
     RegisterSystem,
     StateVector,
     _check_bound,
-    apply_subsystem_matrix,
     fidelity,
     fidelity_matrices,
     partial_trace,
@@ -170,7 +169,6 @@ def coherence_creation(q: int, e: int, budget: int = MAX_AMPLITUDES) -> Protocol
     _check_budget(1, 2, max(c, 1), budget, "coherence creation output")
     t = ProtocolTranscript()
     bob_amps = np.ones(1, dtype=complex)
-    bob_regs: list[tuple[str, int]] = []
     audit: list[dict[str, float]] = []
 
     def bob_rc() -> float:
@@ -181,23 +179,21 @@ def coherence_creation(q: int, e: int, budget: int = MAX_AMPLITUDES) -> Protocol
     if np.max(np.abs(pair - _ROTATED_PAIR)) > 1e-12:
         raise InvalidState("rotated singlet deviates from its closed form")
     IncoherentKrausSet(KrausChannel(qmat.qubits("a", "b"), qmat.qubits("a", "b"), (_CZ,)))
+    # Bob's controlled-Z on the pair he has just received; a diagonal of signs, so the
+    # |amplitudes|^2 audited below are those of the undecoded pair
+    decoded = _CZ @ pair
 
     for i in range(m):
         t.add(f"alice rotates singlet {i + 1} with a Hadamard on her half")
         rc_before = bob_rc()
         # Bob's half was maximally mixed; after the send he holds the pure pair
-        bob_amps = np.kron(bob_amps, pair)
-        bob_regs += [(f"Q{2 * i + 1}", 2), (f"Q{2 * i + 2}", 2)]
+        bob_amps = np.kron(bob_amps, decoded)
         t.add(
             f"alice sends her half of singlet {i + 1}",
             resources={"qubits_sent": 1, "singlets_consumed": 1},
         )
         rc_after = bob_rc()
         audit.append({"step": len(t.steps), "rc_gain": rc_after - rc_before})
-        sys_ = RegisterSystem(tuple(bob_regs))
-        bob_amps, _ = apply_subsystem_matrix(
-            bob_amps, sys_, _CZ, [f"Q{2 * i + 1}", f"Q{2 * i + 2}"]
-        )
         t.add(
             f"bob applies a controlled-Z to pair {i + 1} (certified incoherent)",
             incoherent=True,
@@ -207,7 +203,6 @@ def coherence_creation(q: int, e: int, budget: int = MAX_AMPLITUDES) -> Protocol
     for i in range(q - m):
         rc_before = bob_rc()
         bob_amps = np.kron(bob_amps, plus)
-        bob_regs.append((f"Q{2 * m + i + 1}", 2))
         t.add(
             f"alice sends a fresh |+> qubit ({i + 1} of {q - m})",
             resources={"qubits_sent": 1},

@@ -237,11 +237,6 @@ def standard_qsr_rates(psi: StateVector) -> tuple[float, float]:
     return _PureMarginals(psi).standard_rates()
 
 
-def slepian_wolf_sum_bound(psi: StateVector) -> float:
-    """Total resource lower bound S of the dephased (B, C) state given dephased B."""
-    return _PureMarginals(psi).sum_bound()
-
-
 # ---------------------------------------------------------------------------
 # rates with a free (incoherent) decoder
 
@@ -271,11 +266,6 @@ def incoherent_schumacher_rate(rho_c: DensityOperator) -> float:
     """Compression rate with incoherent decoding: mean of S and dephased S."""
     return 0.5 * (von_neumann_entropy(rho_c)
                   + entropy_of_probs(np.diagonal(rho_c.matrix).real))
-
-
-def incoherent_splitting_rate(psi: StateVector) -> float:
-    """Qubit rate for handing C to a receiver with no prior side information."""
-    return _PureMarginals(psi).splitting_rate()
 
 
 def classical_rate_incoherent(

@@ -321,11 +321,48 @@ def pencil_pairs():
             for scale in (0.5, 0.98):
                 rho = DensityOperator(sys_, scale * random_density(sys_, rng).matrix, subnormalized=True)
                 pairs.append(("subnormalized", rho, random_density(sys_, rng), eps))
+    return pairs + past_last_breakpoint_pairs()
+
+
+def finite_breakpoints(rho_mat: np.ndarray, sigma_mat: np.ndarray):
+    """(ascending finite breakpoints of the pencil, kernel mass) for sigma of rank d - 1 with
+    kernel vector k: det(rho - mu sigma) = <k|rho|k> det(S - mu sigma_SS) on the support S of
+    sigma, for S the Schur complement of <k|rho|k> in rho."""
+    evs, vecs = np.linalg.eigh(sigma_mat)
+    k, supp = vecs[:, :1], vecs[:, 1:]
+    mass = float((k.conj().T @ rho_mat @ k)[0, 0].real)
+    r_sk = supp.conj().T @ rho_mat @ k
+    schur = supp.conj().T @ rho_mat @ supp - (r_sk @ r_sk.conj().T) / mass
+    w = 1.0 / np.sqrt(evs[1:])
+    return np.linalg.eigvalsh(w[:, None] * schur * w), mass
+
+
+def past_last_breakpoint_pairs():
+    """Seeded (case, rho, sigma, eps) whose threshold lies past the largest finite breakpoint:
+    sigma of rank d - 1 and a nearly pure rho with <k|rho|k> < 1 - eps <= c(mu_max+), on
+    d = 2..8.  Only the doubling bracket reaches such a root."""
+    rng = np.random.default_rng(37)
+    pairs = []
+    for d in range(2, 9):
+        sys_ = qmat.system(("S", d))
+        for eps in (0.05, 0.1, 0.25):
+            while True:
+                sigma = random_density(sys_, rng, rank=d - 1)
+                t = rng.uniform(0.0, eps)
+                rho = DensityOperator(sys_, (1.0 - t) * random_density(sys_, rng, rank=1).matrix
+                                      + t * random_density(sys_, rng).matrix)
+                mus, mass = finite_breakpoints(rho.matrix, sigma.matrix)
+                mu = float(mus[-1])
+                evals, vecs = np.linalg.eigh(rho.matrix - mu * sigma.matrix)
+                right = np.sum(_spectral_weights(vecs, rho.matrix)[evals > 1e-11 * max(1.0, mu)])
+                if mass < 1.0 - eps <= right:
+                    break
+            pairs.append(("root past the last breakpoint", rho, sigma, eps))
     return pairs
 
 
 def test_threshold_search_matches_bisection_oracle():
-    jump = smooth = 0
+    jump = smooth = past = 0
     for case, rho, sigma, eps in pencil_pairs():
         rm, sm = rho.matrix, sigma.matrix
         assert np.linalg.norm(rm @ sm - sm @ rm) > 1e-6, case
@@ -347,41 +384,89 @@ def test_threshold_search_matches_bisection_oracle():
                 jump += 1
             else:
                 smooth += 1
-    assert jump and smooth, (jump, smooth)
+        if case == "root past the last breakpoint":
+            # one positive eigenvalue of rho - mu sigma is left, so the test has rank one
+            assert np.sum(evs > 1e-6) == 1, case
+            past += 1
+    assert jump and smooth and past, (jump, smooth, past)
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """A one-element list counting numpy.linalg.eigh calls from here on."""
+def decompositions(monkeypatch):
+    """A one-element list counting numpy.linalg.eigh and eigvalsh calls from here on."""
     calls = [0]
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _kernel=getattr(np.linalg, name), **kwargs):
+            calls[0] += 1
+            return _kernel(a, *args, **kwargs)
 
-    def counted(a, *args, _kernel=np.linalg.eigh, **kwargs):
-        calls[0] += 1
-        return _kernel(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
-def test_threshold_search_takes_few_decompositions(eigh_calls):
+def test_threshold_search_takes_few_decompositions(decompositions):
     # the bisection it replaced took 50 to 55 eigh calls per non-commuting test
     per_call = []
     for _, rho, sigma, eps in pencil_pairs():
-        eigh_calls[0] = 0
+        decompositions[0] = 0
         optimal_hypothesis_test(rho, sigma, eps)
-        per_call.append(eigh_calls[0])
+        per_call.append(decompositions[0])
     assert np.mean(per_call) <= 15, np.mean(per_call)
     assert max(per_call) <= 60, max(per_call)
 
 
-def test_unreachable_target_returns_identity_at_once(eigh_calls):
+def test_unreachable_target_returns_identity_at_once(decompositions):
     # Tr rho < 1 - eps: no test passes rho with 1 - eps, and the identity is returned
     rho = DensityOperator(qmat.qubits("Q"), np.diag([0.42, 0.18]), subnormalized=True)
     sigma = DensityOperator(qmat.qubits("Q"), np.array([[0.5, 0.25], [0.25, 0.5]]))
     d, pi = optimal_hypothesis_test(rho, sigma, 0.1)
-    assert eigh_calls[0] <= 3
+    assert decompositions[0] <= 3
     assert np.array_equal(pi, np.eye(2))
     assert d.finite and d.value == 0.0 and math.copysign(1.0, d.value) == 1.0
+
+
+def degenerate_commuting_pairs():
+    """Seeded commuting, non-diagonal (rho, sigma, eps, p, q) on d = 3..8: sigma = U diag(q) U^dag
+    with a k-fold eigenvalue (2 <= k <= d), rho rotated by W inside that eigenspace, and p, q
+    their joint eigenvalues in the frame U W."""
+    rng = np.random.default_rng(43)
+    cases = []
+    for d in range(3, 9):
+        sys_ = qmat.system(("S", d))
+        for eps in (0.05, 0.1, 0.25):
+            for _ in range(4):
+                k = int(rng.integers(2, d + 1))
+                p, q = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+                q[:k] = q[:k].mean()
+                u = random_unitary(d, rng)
+                w = np.eye(d, dtype=complex)
+                w[:k, :k] = random_unitary(k, rng)
+                frame = u @ w
+                cases.append((DensityOperator(sys_, (frame * p) @ frame.conj().T),
+                              DensityOperator(sys_, (u * q) @ u.conj().T), eps, p, q))
+    return cases
+
+
+def test_commuting_test_with_a_degenerate_sigma_is_the_classical_fill():
+    for rho, sigma, eps, p, q in degenerate_commuting_pairs():
+        rm, sm = rho.matrix, sigma.matrix
+        d, pi = optimal_hypothesis_test(rho, sigma, eps)
+        want = -math.log2(_classical_np_test(p, q, eps)[0])
+        assert abs(d.value - want) <= 1e-12, (rho.dim, eps, d.value, want)
+        assert np.max(np.abs(pi @ rm - rm @ pi)) <= 1e-12
+        assert np.max(np.abs(pi @ sm - sm @ pi)) <= 1e-12
+
+
+def test_commuting_pair_with_distinct_eigenvalues_takes_one_decomposition(decompositions):
+    # sigma's eigenbasis is then the joint one: no block of it needs a decomposition of its own
+    rng = np.random.default_rng(44)
+    sys_ = qmat.system(("S", 5))
+    u = random_unitary(5, rng)
+    rho, sigma = (DensityOperator(sys_, (u * rng.dirichlet(np.ones(5))) @ u.conj().T)
+                  for _ in range(2))
+    decompositions[0] = 0
+    optimal_hypothesis_test(rho, sigma, 0.1)
+    assert decompositions[0] == 1
 
 
 def commutator_cases():

@@ -28,10 +28,8 @@ from qredist.rates import (
     incoherent_qsr_rate,
     incoherent_rate_forms,
     incoherent_schumacher_rate,
-    incoherent_splitting_rate,
     one_shot_achievability_bound,
     rate_report,
-    slepian_wolf_sum_bound,
     standard_qsr_rates,
     tensor_power_state,
 )
@@ -78,9 +76,9 @@ def test_standard_rates_hand_values():
 
 
 def test_sum_bound_hand_values():
-    assert slepian_wolf_sum_bound(bell_times_plus()) == pytest.approx(1.0, abs=1e-9)
-    assert slepian_wolf_sum_bound(ghz()) == pytest.approx(0.0, abs=1e-9)
-    assert slepian_wolf_sum_bound(product_zero()) == pytest.approx(0.0, abs=1e-9)
+    assert rate_report(bell_times_plus()).sum_bound_slepian_wolf == pytest.approx(1.0, abs=1e-9)
+    assert rate_report(ghz()).sum_bound_slepian_wolf == pytest.approx(0.0, abs=1e-9)
+    assert rate_report(product_zero()).sum_bound_slepian_wolf == pytest.approx(0.0, abs=1e-9)
 
 
 def test_incoherent_rate_hand_values():
@@ -102,13 +100,14 @@ def test_schumacher_hand_values():
 
 
 def test_splitting_hand_values():
-    assert incoherent_splitting_rate(ghz()) == pytest.approx(0.5, abs=1e-9)
-    assert incoherent_splitting_rate(bell_times_plus()) == pytest.approx(0.5, abs=1e-9)
-    # a Bell pair on (R, C): I(R:C) = 2 plus one bit of coherence, halved
+    assert rate_report(ghz()).q_min_splitting_incoherent == pytest.approx(0.5, abs=1e-9)
+    assert rate_report(bell_times_plus()).q_min_splitting_incoherent == pytest.approx(0.5, abs=1e-9)
+    # a Bell pair on (R, C), with the trivial B the report needs: I(R:C) = 2 plus one bit of
+    # coherence, halved
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
-    psi = StateVector(qmat.qubits("R", "C"), bell)
-    assert incoherent_splitting_rate(psi) == pytest.approx(1.0, abs=1e-9)
+    psi = StateVector(qmat.system(("R", 2), ("B", 1), ("C", 2)), bell)
+    assert rate_report(psi).q_min_splitting_incoherent == pytest.approx(1.0, abs=1e-9)
 
 
 def test_three_forms_agree_random():
