@@ -483,8 +483,9 @@ def uhlmann_isometry(
 
     The achieved overlap equals the fidelity of the two marginals on the
     shared registers.  Built from a thin SVD of the full cross-overlap
-    matrix, so V is also fixed off psi_ac's support; ``qsr_full`` takes the
-    same polar step on that support only.
+    matrix, so V is also fixed off psi_ac's support and takes every row of
+    psi_ab's side; ``qsr_full`` takes the same polar step on that support only,
+    and on the rows of the convex-split purification's support.
     """
     if shared is None:
         shared = [lab for lab in psi_ab.system.labels if lab in set(psi_ac.system.labels)]
@@ -690,6 +691,14 @@ class DecoderResult:
     purified_distance: float
 
 
+def _weight(amps: np.ndarray) -> float:
+    """Squared norm of an amplitude array as a numpy sum: unlike ``np.vdot``, which
+    OpenBLAS splits across threads on long vectors, its rounding does not depend on the
+    BLAS thread count."""
+    x = amps.reshape(-1).view(np.float64)
+    return float(np.square(x).sum())
+
+
 def _decode(
     branches, test_bc: np.ndarray, psi: StateVector, b: int
 ) -> tuple[dict[int, float], float, float]:
@@ -727,7 +736,7 @@ def _decode(
     fid2 = 0.0
     for amps, sys_, slots in branches:
         for k, slot, out in outcomes(amps, sys_, slots):
-            w = float(np.vdot(out, out).real)
+            w = _weight(out)
             probs[k] += w
             if w > 1e-18:
                 axes = [sys_.axis(lab) for lab in ("R", "A", "B", slot)]
@@ -816,21 +825,29 @@ def _split_transfer(
     psi: StateVector, sigma_pure: StateVector, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alice's Uhlmann transfer of xi = psi x |sigma>_{C_i L_i}^{xn} toward the
-    convex-split purification mu, taken on xi's support without forming either vector.
-    Returns (F, K, V): the transferred vector's amplitude matrix is F V^T, across
-    (R, B, C1..Cn) | (J, A, L1..Ln), and its overlap with mu is Tr(K V^T).
+    convex-split purification mu, taken on the supports of xi and mu without forming
+    either vector.  Returns (G, K, V): with F = G x s^{xn} (s sigma's purification as a
+    C x L matrix), the transferred vector's J = j branch has amplitude matrix F V[j]^T
+    across (R, B, C1..Cn) | (A, L), and its overlap with mu is the sum of K * V.
 
     Across (R, B, C1..Cn) | (A, C, L1..Ln), xi's amplitude matrix is X = X_psi x s^{xn},
-    with X_psi psi's (R, B) | (A, C) matrix and s sigma's purification as a C x L
-    matrix.  With W the right Schmidt vectors of X_psi, F = G x s^{xn}, G = X_psi W, has
-    r = rank(psi) rank(sigma)^n orthogonal columns and X = F (W x 1)^dag, so only the
-    polar step of K = Y^dag F matters (Y mu's amplitude matrix).  mu's slot-1 term
-    psi_{RABC_1}|0>_{L_1} x sigma on slots 2..n gives K's J = 1 block
-    M x (s^dag s)^{x(n-1)}, M[(a, l'), (k, l)] = delta_{l'0} sum_{r,b,c}
+    with X_psi psi's (R, B) | (A, C) matrix.  With W the right Schmidt vectors of X_psi,
+    F = G x s^{xn}, G = X_psi W, has r = rank(psi) rank(sigma)^n orthogonal columns and
+    X = F (W x 1)^dag, so only the polar step of K = Y^dag F matters (Y mu's amplitude
+    matrix).  mu's slot-1 term psi_{RABC_1}|0>_{L_1} x sigma on slots 2..n gives K's
+    J = 1 block M x (s^dag s)^{x(n-1)}, M[(a, l'), (k, l)] = delta_{l'0} sum_{r,b,c}
     conj(psi[r,a,b,c]) G[(r,b),k] s[c,l]; the J = j block is that block with L_1 and
     L_j exchanged on its rows and its columns, and the blocks stack along J over
-    sqrt(n).  Neither mu, xi nor the transferred vector is formed, and V, rows
-    (J, A, L1..Ln), is validated on its r columns.
+    sqrt(n).  For the canonical purification s^dag s = diag(lam_sigma), so each further
+    slot only scales M's entries by one lam on its (row, column) diagonal.
+
+    Every term of mu carries |0> on L_j in its J = j block, so K vanishes on the other
+    rows.  K and V keep the rows (J = j, A, L_{-j}), n d_A d_L^(n-1) of them, whenever
+    they are at least r: V = K (K^dag K)^(-1/2) is then zero on the rows dropped.  A
+    smaller support cannot hold r orthonormal columns, so then every row
+    (J, A, L1..Ln) is kept.  K and V come shaped (n, rows of one J block, r), the rows
+    (A, L) with L the purifiers kept (L_j dropped, or none), in slot order; V is
+    validated on its r columns.
     """
     _, d_a, _, d_c = psi.system.dims
     x_psi = vector_factor_matrix(psi.amplitudes, psi.system.dims, [0, 2])
@@ -844,33 +861,37 @@ def _split_transfer(
     g = u[:, :rank] * schmidt[:rank]
     s = sigma_pure.amplitudes.reshape(sigma_pure.system.dims)
     d_l = s.shape[1]
-    f = g
-    for _ in range(n):
-        f = _kron_matrices(f, s)
 
-    r = f.shape[1]
-    d_rest = n * d_a * d_l ** n
-    if r > d_rest:
+    r = rank * d_l ** n
+    rest = d_l ** (n - 1)  # the purifiers of the other slots
+    held = 1 if n * d_a * rest >= r else d_l  # kept values of L_j in the J = j block
+    if n * d_a * held * rest < r:
         raise DimensionMismatch(
-            f"at n={n} slots the split purification's side {d_rest} is smaller than "
-            f"the {r}-dimensional support it must receive; raise the slot count"
+            f"at n={n} slots the split purification's side {n * d_a * held * rest} is "
+            f"smaller than the {r}-dimensional support it must receive; raise the slot count"
         )
-    # M, with the 1/sqrt(n) of the J stack taken on psi, then K's J = 1 block
-    m = np.zeros((d_a, d_l, rank, d_l), dtype=complex)
+    # M, with the 1/sqrt(n) of the J stack taken on psi
+    m = np.zeros((d_a, held, rank, d_l), dtype=complex)
     psi_g = (x_psi / math.sqrt(n)).conj().T @ g  # (A, C) x rank
     m[:, 0] = psi_g.reshape(d_a, d_c, rank).transpose(0, 2, 1) @ s
-    k = m.reshape(d_a * d_l, rank * d_l)
-    gram = s.conj().T @ s
+    # K's J = 1 block: M's entries times lam once per further slot, on the diagonal of
+    # that slot's (row, column) pair
+    lam = np.diagonal(s.conj().T @ s)
+    scaled = m.reshape(d_a * held, rank * d_l)
     for _ in range(n - 1):
-        k = _kron_matrices(k, gram)
+        scaled = scaled[..., None] * lam
+    k1 = np.zeros((d_a * held, rest, rank * d_l, rest), dtype=complex)
+    diag = np.arange(rest)
+    k1[:, diag, :, diag] = scaled.reshape(d_a * held, rank * d_l, rest).transpose(2, 0, 1)
     # axes (A, L1..Ln | rank, L1..Ln); slot j's L axes sit at j and n + 1 + j
-    k = np.stack(list(_slot_swaps(k.reshape((d_a,) + (d_l,) * n + (rank,) + (d_l,) * n),
-                                  [(i, n + 1 + i) for i in range(1, n + 1)])))
-    k = k.reshape(d_rest, r)
-    out_sys = RegisterSystem((("J", n), ("A", d_a)) +
-                             tuple((f"L{i}", d_l) for i in range(1, n + 1)))
-    v = Isometry(qmat.system(("S", r)), out_sys, _polar_isometry(k))
-    return f, k, v.matrix
+    k = np.empty((n, d_a * held * rest, r), dtype=complex)
+    for block, term in zip(k, _slot_swaps(
+            k1.reshape((d_a, held) + (d_l,) * (n - 1) + (rank, d_l) + (d_l,) * (n - 1)),
+            [(i, n + 1 + i) for i in range(1, n + 1)])):
+        block.reshape(term.shape)[...] = term
+    out_sys = RegisterSystem((("J", n), ("A", d_a), ("L", held * rest)))
+    v = Isometry(qmat.system(("S", r)), out_sys, _polar_isometry(k.reshape(-1, r))).matrix
+    return g, k, v.reshape(k.shape)
 
 
 def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTranscript:
@@ -887,17 +908,22 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
     3 eps1 + eps2 + gamma.
 
     The transfer is the Uhlmann polar step taken on the support of
-    psi x |sigma>^{xn} on Alice's registers (``_split_transfer``), so the
-    target side needs room for that support only: n = 1 runs whenever it
-    fits, and a slot count too small for it raises ``DimensionMismatch``.
-    The convex-split purification mu is never formed: the polar step's
-    cross-overlap K is built from its one-slot Kronecker factor, the transfer
-    overlap is Tr(K V^T), and slot branch j of the transferred vector is formed
-    only when the decoder reaches it.  The budget counts the amplitudes the
-    decoder reads across all slot branches, n d_R d_A d_B (d_C d_L)^n.  For a
-    psi of full Schmidt rank across RB|AC the polar step's cross-overlap is
-    rank-deficient on that support, so only the transfer overlap is fixed: the
-    purified distance depends on the isometry's arbitrary completion.
+    psi x |sigma>^{xn} on Alice's registers and on the support of mu on the
+    target side (``_split_transfer``), so the target side needs room for xi's
+    support only: n = 1 runs whenever it fits, and a slot count too small for
+    it raises ``DimensionMismatch``.  The convex-split purification mu is never
+    formed: the polar step's cross-overlap K is built on mu's support, the rows
+    (J = j, A, L_{-j}) that carry |0> on L_j, from its one-slot factor and the
+    diagonal gram of sigma's purification; the transfer overlap is the sum of
+    K * V.  Slot branch j of the transferred vector, (G x s^{xn}) V[j]^T, is
+    formed only when the decoder reaches it, without forming G x s^{xn}, over
+    (R, B, C1..Cn, A, L_{-j}).  When mu's support is smaller than xi's, every
+    row (J, A, L1..Ln) is kept instead.  The budget counts the transferred
+    vector on every row, n d_R d_A d_B (d_C d_L)^n; on mu's support the decoder
+    reads 1/d_L of it.  For a psi of full Schmidt rank across RB|AC the polar
+    step's cross-overlap is rank-deficient, so only the transfer overlap is
+    fixed: the purified distance depends on the isometry's arbitrary
+    completion.
     """
     params = qsr_parameters(instance)
     psi = instance.psi
@@ -918,27 +944,38 @@ def qsr_full(instance: QsrInstance, budget: int = MAX_AMPLITUDES) -> ProtocolTra
     t.add(f"alice and bob share {n} purified copies of sigma_c",
           resources={"singlets_consumed": n})
 
-    f, k, v = _split_transfer(psi, sigma_pure, n)
-    overlap = float(abs(np.dot(k.reshape(-1), v.reshape(-1))))
+    g, k, v = _split_transfer(psi, sigma_pure, n)
+    overlap = float(abs(np.sum(k * v)))
     t.add("alice applies the transfer isometry toward the split purification",
           overlap=overlap)
     if instance.n_override is None:
         _check_bound("transfer overlap^2 against the split guarantee", overlap ** 2,
                      1.0 - params.delta, ">=", 1e-9)
 
-    # Alice measures the slot register; branch j, F V_j^T with V_j V's rows at J = j,
-    # is formed only when the decoder reaches it and stays subnormalized
+    # Alice measures the slot register; branch j, F V[j]^T, is formed only when the
+    # decoder reaches it and stays subnormalized.  F = F1 x F2 with F1 = G x s^{xh} and
+    # F2 = s^{x(n-h)}, so the branch is F1 (V[j] F2^T) with F never formed; its axes are
+    # (R, B, C1..Ch | A, L | C_{h+1}..Cn), L the purifiers V keeps.  G's d_R d_B rows
+    # weigh about one slot, so F1 takes one copy of s fewer than F2
+    h = (n - 1) // 2
+    s = sigma_pure.amplitudes.reshape(d_c, d_l)
+    f1, f2 = g, s
+    for _ in range(h):
+        f1 = _kron_matrices(f1, s)
+    for _ in range(n - h - 1):
+        f2 = _kron_matrices(f2, s)
+    rows = v.shape[1]
     slots = range(1, n + 1)
     branch_sys = RegisterSystem(
-        (("R", d_r), ("B", d_b)) + tuple((f"C{i}", d_c) for i in slots) + (("A", d_a),)
-        + tuple((f"L{i}", d_l) for i in slots))
-    v_slots = v.reshape(n, -1, v.shape[1])
+        (("R", d_r), ("B", d_b)) + tuple((f"C{i}", d_c) for i in slots[:h])
+        + (("A", d_a), ("L", rows // d_a)) + tuple((f"C{i}", d_c) for i in slots[h:]))
     slot_probs: list[float] = []
 
     def slot_branches():
         for j in slots:
-            amps = f @ v_slots[j - 1].T
-            slot_probs.append(float(np.vdot(amps, amps).real))
+            inner = (v[j - 1].reshape(-1, f2.shape[1]) @ f2.T).reshape(rows, f1.shape[1], -1)
+            amps = f1 @ inner.transpose(1, 0, 2).reshape(f1.shape[1], -1)
+            slot_probs.append(_weight(amps))
             if slot_probs[-1] > 1e-18:
                 first = (j - 1) // b * b
                 yield amps, branch_sys, [f"C{first + i if first + i <= n else i}"

@@ -108,8 +108,8 @@ def transfer_overlap(monkeypatch, tmp_path):
     transfer = protocols._split_transfer
 
     def orthogonal(psi, sigma_pure, n):
-        f, k, v = transfer(psi, sigma_pure, n)
-        return f, np.zeros_like(k), v  # the overlap Tr(K V^T) is 0
+        g, k, v = transfer(psi, sigma_pure, n)
+        return g, np.zeros_like(k), v  # the overlap, the sum of K * V, is 0
 
     monkeypatch.setattr(protocols, "_split_transfer", orthogonal)
     inst = protocols.builtin_qsr_instances()["uncorrelated-pure"]

@@ -62,12 +62,17 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(argv):
-    """Run the command line in a new interpreter."""
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def run_fresh(argv, **env):
+    """Run the command line in a new interpreter, with ``env`` added to its environment."""
     src = str(Path(qredist.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "qredist.cli", *argv], capture_output=True,
-                          text=True, timeout=30, env={**os.environ, "PYTHONPATH": path})
+                          text=True, timeout=30,
+                          env={**os.environ, **env, "PYTHONPATH": path})
 
 
 def run_or_exit(capsys, argv):
@@ -348,6 +353,21 @@ def test_simulate_qsr_rejects_zero_override(capsys, flag, message):
     code, out, err = run(capsys, ["simulate", "qsr", flag, "0"])
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("name", ["mismatched-prior", "classical-side-info"])
+def test_simulate_qsr_prints_the_same_bytes_on_one_and_two_blas_threads(name):
+    # at n = 7 the slot branches hold 65 536 amplitudes, past the size at which OpenBLAS
+    # splits a dot product across threads; the protocol's sums are numpy's, so their
+    # rounding does not depend on the thread count
+    argv = ["simulate", "qsr", "--instance", name, "--n-override", "7",
+            "--budget", "16777216", "--format", "json"]
+    outs = []
+    for threads in ("1", "2"):
+        proc = run_fresh(argv, **{var: threads for var in BLAS_THREAD_VARS})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 # --------------------------------------------------------------------------

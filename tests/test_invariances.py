@@ -5,15 +5,22 @@ rotated commuting or diagonal pair leaves the route it came in on (the diagonal 
 the joint eigensystem), so these relations also compare routes.  The test restricted to free
 (diagonal) tests is unchanged under a joint incoherent unitary, a permutation times phases.
 Each draw has its own seed, (kind, d, index), so its id does not depend on the other draws.
+
+The redistribution protocol never acts on the reference R, so a unitary on R leaves the
+transfer overlap, the cobit count and the free test's d_f unchanged.  The final distance is
+left out: classical-side-info's free test is a tie, all likelihood ratios 1 up to rounding,
+and rounding picks the outcome that gets the fractional weight.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qredist import qmat
 from qredist.entropy import optimal_hypothesis_test, restricted_hypothesis_test
+from qredist.protocols import builtin_qsr_instances, qsr_full
 from qredist.qmat import DensityOperator
 from qredist.sampling import random_density, random_unitary
 
@@ -74,3 +81,22 @@ def test_restricted_test_is_invariant_under_a_joint_incoherent_unitary(kind, d):
             assert before.finite == after.finite, name
             if before.finite:
                 assert abs(before.value - after.value) <= 1e-12, (name, before, after)
+
+
+QSR_NAMES = sorted(builtin_qsr_instances())
+
+
+@pytest.mark.parametrize("n", [None, 4, 5, 6])
+@pytest.mark.parametrize("name", QSR_NAMES)
+def test_qsr_run_is_invariant_under_a_unitary_on_r(name, n):
+    inst = replace(builtin_qsr_instances()[name], n_override=n)
+    before = qsr_full(inst, budget=2 ** 18).details
+    for index in range(3):
+        rng = np.random.default_rng([97, QSR_NAMES.index(name), n or 0, index])
+        amps, sys_ = qmat.apply_subsystem_matrix(
+            inst.psi.amplitudes, inst.psi.system, random_unitary(2, rng), ["R"])
+        after = qsr_full(replace(inst, psi=qmat.StateVector(sys_, amps)), budget=2 ** 18).details
+        name_id = f"{name} n={before['n']} draw {index}"
+        assert after["n"] == before["n"] and after["cobits"] == before["cobits"], name_id
+        for key in ("overlap", "d_f"):
+            assert abs(after[key] - before[key]) <= 1e-12, (name_id, key, before, after)

@@ -661,10 +661,12 @@ def _support_transfer(psi, sigma_pure, n):
     mu_amps = np.stack(list(protocols._slot_swaps(first.reshape(first_sys.dims),
                                                   [(1 + i, n + 2 + i) for i in slots])),
                        axis=n + 2)
+    mu_amps /= math.sqrt(n)
     regs = first_sys.registers
     mu = qmat.StateVector(qmat.RegisterSystem(regs[:n + 2] + (("J", n),) + regs[n + 2:]),
-                          mu_amps.reshape(-1) / math.sqrt(n))
-    k = mu.amplitudes.reshape(f.shape[0], -1).conj().T @ f
+                          mu_amps.reshape(-1))
+    del mu_amps  # the validated copy is mu's; at n = 8 each holds 64 MB
+    k = (f.conj().T @ mu.amplitudes.reshape(f.shape[0], -1)).conj().T
     return mu, k, (f @ protocols._polar_isometry(k).T).reshape(-1)
 
 
@@ -723,15 +725,31 @@ def test_support_transfer_generic_psi_keeps_the_overlap():
             t = qsr_full(inst)
             mu, k, _ = _support_transfer(inst.psi, sigma_pure, n)
             assert k.shape[1] == 4 * 2 ** n
+            # mu's support, n * 2 * 2^(n-1) rows, cannot hold the 4 * 2^n support of xi, so
+            # the transfer keeps every row (J, A, L1..Ln)
+            assert protocols._split_transfer(inst.psi, sigma_pure, n)[1].shape == (
+                n, 2 * 2 ** n, 4 * 2 ** n)
             dense = _dense_transfer(inst.psi, sigma_pure, mu, n)
             assert t.details["overlap"] == pytest.approx(abs(np.vdot(mu.amplitudes, dense)),
                                                          abs=1e-12)
             assert 0.0 <= t.details["purified_distance"] <= 1.0
 
 
+def _kept_rows(n, d_a, d_l, rows):
+    """Mask of the rows (J, A, L1..Ln) of mu's side that ``_split_transfer`` keeps, given
+    the rows it keeps per J block: those with L_j = |0> in the J = j block, or all."""
+    if rows == d_a * d_l ** n:
+        return np.ones(n * rows, dtype=bool)
+    mask = np.zeros((n, d_a) + (d_l,) * n, dtype=bool)
+    for j in range(n):
+        mask[(j, slice(None)) + (slice(None),) * j + (0,)] = True
+    return mask.reshape(-1)
+
+
 def test_factored_cross_overlap_matches_the_support_route():
-    # K is built from its one-slot Kronecker factor and its slot swaps; the oracle
-    # forms mu and takes Y^dag F
+    # K is built from its one-slot factor and its slot swaps on mu's support, the rows
+    # with L_j = |0> in the J = j block; the oracle forms mu and takes Y^dag F on every
+    # row, and is exactly 0 off that support
     rng = np.random.default_rng(114)
     unitaries = [None, random_unitary(2, rng), random_unitary(2, rng)]
     cases = [(inst.psi if u is None else _rotate_r(inst.psi, u), inst.sigma_c, range(1, 7))
@@ -741,37 +759,87 @@ def test_factored_cross_overlap_matches_the_support_route():
               for _ in range(2)]
     for psi, sigma_c, slot_counts in cases:
         sigma_pure = qmat.purify(sigma_c, purifier_label="L")
+        d_a, d_l = psi.system.dims[1], sigma_pure.system.dims[-1]
         for n in slot_counts:
             _, k, _ = protocols._split_transfer(psi, sigma_pure, n)
             oracle = _support_transfer(psi, sigma_pure, n)[1]
-            assert k.shape == oracle.shape
-            assert np.max(np.abs(k - oracle)) <= 1e-12, n
+            kept = _kept_rows(n, d_a, d_l, k.shape[1])
+            if _schmidt_rank(psi) == 1:
+                assert k.shape[1] == d_a * d_l ** (n - 1)
+            assert np.all(oracle[~kept] == 0), n
+            assert k.shape == (n, oracle[kept].shape[0] // n, oracle.shape[1])
+            assert np.max(np.abs(k.reshape(oracle[kept].shape) - oracle[kept])) <= 1e-12, n
 
 
 def test_slot_branches_stack_to_the_support_route(monkeypatch):
-    # qsr_full forms slot branch j as F V_j^T when the decoder reaches it; stacked
-    # along J the branches are the oracle's transferred vector
+    # qsr_full forms slot branch j as F V[j]^T on the purifiers V keeps when the decoder
+    # reaches it; with L_j = |0> re-inserted and stacked along J the branches are the
+    # oracle's transferred vector
     decode = protocols._decode
     seen = []
 
     def recording(branches, *args):
         def copies():
             for amps, sys_, slots in branches:
-                seen.append(np.array(amps).reshape(sys_.dims))
+                seen.append((np.array(amps), sys_))
                 yield amps, sys_, slots
         return decode(copies(), *args)
 
     monkeypatch.setattr(protocols, "_decode", recording)
     for inst in builtin_qsr_instances().values():
         sigma_pure = qmat.purify(inst.sigma_c, purifier_label="L")
+        d_a, d_l = inst.psi.system.dims[1], sigma_pure.system.dims[-1]
         for override in (None, 5):
             seen.clear()
             n = qsr_full(replace(inst, n_override=override), budget=2 ** 18).details["n"]
             assert len(seen) == n
             _, _, xi2 = _support_transfer(inst.psi, sigma_pure, n)
-            # branch axes (R, B, C1..Cn, A, L1..Ln); J sits before A in mu's order
-            stacked = np.stack(seen, axis=n + 2).reshape(-1)
-            assert np.linalg.norm(stacked - xi2) <= 1e-12, (inst.name, n)
+            # rows (J, A, L) against (R, B, C1..Cn); mu's order puts J, A, L1..Ln last
+            order = ["A", "L", "R", "B"] + [f"C{i}" for i in range(1, n + 1)]
+            rows = np.concatenate([
+                qmat.permute_vector_axes(amps, sys_, order)[0].reshape(d_a * sys_.dim_of(["L"]), -1)
+                for amps, sys_ in seen])
+            stacked = np.zeros((n * d_a * d_l ** n, rows.shape[1]), dtype=complex)
+            stacked[_kept_rows(n, d_a, d_l, rows.shape[0] // n)] = rows
+            assert np.linalg.norm(stacked.T.reshape(-1) - xi2) <= 1e-12, (inst.name, n)
+
+
+def _decode_full_rows(inst, n):
+    """The oracle's transferred vector, split into slot branches over every row
+    (A, L1..Ln) and decoded as ``qsr_full`` decodes them: (overlap with mu, slot
+    probabilities, outcome probabilities, purified distance)."""
+    params = qsr_parameters(replace(inst, n_override=n))
+    sigma_pure = qmat.purify(inst.sigma_c, purifier_label="L")
+    mu, _, xi2 = _support_transfer(inst.psi, sigma_pure, n)
+    d_r, d_a, d_b, d_c = inst.psi.system.dims
+    slots = range(1, n + 1)
+    sys_ = qmat.RegisterSystem((("R", d_r), ("B", d_b)) + tuple((f"C{i}", d_c) for i in slots)
+                               + (("A", d_a),) + tuple((f"L{i}", sigma_pure.system.dims[-1])
+                                                       for i in slots))
+    amps = xi2.reshape(d_r * d_b * d_c ** n, n, -1)
+    slot_probs = [float(np.vdot(amps[:, j], amps[:, j]).real) for j in range(n)]
+    b = params.b
+    decoded = ((amps[:, j], sys_, [f"C{j // b * b + i if j // b * b + i <= n else i}"
+                                   for i in range(1, b + 1)])
+               for j in range(n) if slot_probs[j] > 1e-18)
+    probs, _, distance = protocols._decode(decoded, params.test_bc, inst.psi, b)
+    return abs(np.vdot(mu.amplitudes, xi2)), slot_probs, probs, distance
+
+
+def test_support_route_matches_the_full_row_route_on_builtins():
+    # on the built-ins K has full column rank, so V on mu's support is the full-row polar
+    # factor with its zero rows dropped, and every reported value agrees
+    for inst in builtin_qsr_instances().values():
+        for n in range(1, 9):
+            t = qsr_full(replace(inst, n_override=n), budget=2 ** 24)
+            overlap, slot_probs, probs, distance = _decode_full_rows(inst, n)
+            name = (inst.name, n)
+            assert t.details["overlap"] == pytest.approx(overlap, abs=1e-12), name
+            assert t.details["purified_distance"] == pytest.approx(distance, abs=1e-12), name
+            assert t.steps[-2].data["slot_probs"] == pytest.approx(slot_probs, abs=1e-12), name
+            got = t.steps[-1].data["outcome_probs"]
+            assert list(got) == [str(k) for k in probs], name
+            assert list(got.values()) == pytest.approx(list(probs.values()), abs=1e-12), name
 
 
 def test_decoder_outcome_probabilities_frozen():
@@ -794,8 +862,9 @@ def test_decoder_outcome_probabilities_frozen():
 
 
 def test_qsr_full_forms_no_array_of_the_split_purification_size():
-    # at n = 7 mu would hold 7 * 8 * 4^7 amplitudes (14.7 MB); the transfer forms K
-    # and V (3.7 MB each) and one slot branch (2.1 MB) at a time
+    # at n = 7 mu would hold 7 * 8 * 4^7 amplitudes (14.7 MB); the transfer forms K and V
+    # on mu's support, 896 x 128 (1.8 MB each), and one slot branch on the purifiers
+    # it keeps, 4 * 2^7 * 2 * 2^6 amplitudes (1.0 MB), at a time
     inst = replace(builtin_qsr_instances()["mismatched-prior"], n_override=7)
     tracemalloc.start()
     try:
@@ -803,7 +872,7 @@ def test_qsr_full_forms_no_array_of_the_split_purification_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    assert peak < 12 * 2 ** 20
 
 
 def test_transfer_overlap_is_marginal_fidelity_down_to_one_slot():
