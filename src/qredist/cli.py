@@ -56,6 +56,7 @@ from .qmat import (
     BoundViolation,
     DensityOperator,
     StateVector,
+    _check_bound,
     partial_trace,
     system,
 )
@@ -195,66 +196,46 @@ def _rows_to_text(rows: list[dict[str, Any]], header: list[str], fmt: str) -> st
 
 
 # ---------------------------------------------------------------------------
-# quantity command
+# quantity command: each name's leaf carries its function as ``args.quantity``
 
-def _marginal_if_parts(rho: DensityOperator, parts: str | None) -> DensityOperator:
-    if parts is None:
-        return rho
-    (group,) = _parse_parts(parts, 1)
-    return partial_trace(rho, group)
-
-
-def cmd_quantity(args: argparse.Namespace) -> str:
-    name = args.name
-    allow_inf = args.allow_inf
-    files = args.files
-
-    def need(n: int) -> None:
-        if len(files) != n:
-            raise InputError(f"quantity {name} takes {n} state file(s), got {len(files)}")
-
-    if name in ("s", "rc"):
-        need(1)
-        rho = _marginal_if_parts(load_density(files[0]), args.parts)
-        value = von_neumann_entropy(rho) if name == "s" else relative_entropy_of_coherence(rho)
-    elif name in ("mi", "ch", "cmi"):
-        need(1)
-        rho = load_density(files[0])
-        if args.parts is None:
-            raise InputError(f"quantity {name} needs --parts")
-        if name == "mi":
-            a, b = _parse_parts(args.parts, 2)
-            value = mutual_information(rho, a, b)
-        elif name == "ch":
-            a, b = _parse_parts(args.parts, 2)
-            value = conditional_entropy(rho, a, b)
-        else:
-            a, b, c = _parse_parts(args.parts, 3)
-            value = conditional_mutual_information(rho, a, b, c)
-    elif name in ("d", "dmax", "v", "dh", "df"):
-        need(2)
-        rho, sigma = load_density(files[0]), load_density(files[1])
-        if name == "d":
-            value = _entropic(relative_entropy(rho, sigma), allow_inf)
-        elif name == "dmax":
-            value = _entropic(max_relative_entropy(rho, sigma), allow_inf)
-        elif name == "v":
-            value = relative_entropy_variance(rho, sigma)
-        else:
-            if args.eps is None:
-                raise InputError(f"quantity {name} needs --eps")
-            fn = (hypothesis_testing_relative_entropy if name == "dh"
-                  else restricted_hypothesis_testing)
-            value = _entropic(fn(rho, sigma, args.eps), allow_inf)
-    else:
-        raise InputError(f"unknown quantity {name!r}")
-
+def _quantity_text(args: argparse.Namespace, value: float | str) -> str:
     if args.format == "json":
-        payload = {"quantity": name, "value": value}
-        return json.dumps(payload, sort_keys=True) + "\n"
+        return json.dumps({"quantity": args.name, "value": value}, sort_keys=True) + "\n"
     if args.format == "csv":
-        return f"quantity,value\n{name},{_render(value)}\n"
-    return f"{name} = {_render(value)}\n"
+        return f"quantity,value\n{args.name},{_render(value)}\n"
+    return f"{args.name} = {_render(value)}\n"
+
+
+def cmd_quantity_of_state(args: argparse.Namespace) -> str:
+    """s, rc: on the state, or on the marginal of its one --parts group."""
+    rho = load_density(args.files[0])
+    if args.parts is not None:
+        rho = partial_trace(rho, *_parse_parts(args.parts, 1))
+    return _quantity_text(args, args.quantity(rho))
+
+
+def cmd_quantity_of_parts(args: argparse.Namespace) -> str:
+    """mi, ch: on two --parts groups; cmi: on three."""
+    rho = load_density(args.files[0])
+    groups = _parse_parts(args.parts, 3 if args.name == "cmi" else 2)
+    return _quantity_text(args, args.quantity(rho, *groups))
+
+
+def cmd_quantity_of_pair(args: argparse.Namespace) -> str:
+    """d, dmax: rho against sigma, infinite off sigma's support."""
+    value = args.quantity(*map(load_density, args.files))
+    return _quantity_text(args, _entropic(value, args.allow_inf))
+
+
+def cmd_quantity_variance(args: argparse.Namespace) -> str:
+    """v: rho against sigma, refused off sigma's support."""
+    return _quantity_text(args, args.quantity(*map(load_density, args.files)))
+
+
+def cmd_quantity_at_eps(args: argparse.Namespace) -> str:
+    """dh, df: rho against sigma at the test's error tolerance --eps."""
+    value = args.quantity(*map(load_density, args.files), args.eps)
+    return _quantity_text(args, _entropic(value, args.allow_inf))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +322,10 @@ def cmd_copies(args: argparse.Namespace) -> str:
         row: dict[str, Any] = {"copies": m}
         for name, val in rep.entries().items():
             row[f"{name}_per_copy"] = val / m
+        if rows:  # the rates are additive on product states: per copy, each is m = 1's
+            _check_bound(f"additivity of the rates over {m} copies",
+                         max(abs(row[key] - rows[0][key]) for key in row if key != "copies"),
+                         0.0, "<=", rates.FORM_TOL)
         rows.append(row)
     return _rows_to_text(rows, list(rows[0]), args.format)
 
@@ -505,7 +490,7 @@ _OPTIONS: dict[str, dict[str, Any]] = {
 
 def _leaf(sub: argparse._SubParsersAction, name: str, run: Callable[[argparse.Namespace], str],
           help: str, *shared: str) -> argparse.ArgumentParser:
-    """A command or target parser that runs ``run`` and takes the shared options it reads."""
+    """A command, target or name parser that runs ``run`` and takes the shared options it reads."""
     p = sub.add_parser(name, help=help)
     p.set_defaults(run=run)
     for flag in shared:
@@ -532,12 +517,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     output = "--format", "--out"
 
-    q = _leaf(sub, "quantity", cmd_quantity, "evaluate one entropic quantity on state files",
-              *output, "--allow-inf")
-    q.add_argument("name", choices=("s", "rc", "mi", "ch", "cmi", "d", "dmax", "dh", "df", "v"))
-    q.add_argument("files", nargs="+", type=_path, help="state files (one, or rho then sigma)")
-    q.add_argument("--parts", help="register groups, comma separated, '+' joins")
-    q.add_argument("--eps", type=float, help="error tolerance for dh and df")
+    q = sub.add_parser("quantity", help="evaluate one entropic quantity on state files")
+    names = q.add_subparsers(dest="name", required=True)
+
+    def quantities(run: Callable[[argparse.Namespace], str], nargs: int, *shared: str,
+                   **functions: tuple[Callable[..., Any], str]) -> list[argparse.ArgumentParser]:
+        """One leaf per (function, help), each taking ``nargs`` state files."""
+        leaves = []
+        for name, (function, help) in functions.items():
+            c = _leaf(names, name, run, help, *output, *shared)
+            c.set_defaults(quantity=function)
+            c.add_argument("files", nargs=nargs, type=_path,
+                           help="the state file" if nargs == 1 else "rho's file, then sigma's")
+            leaves.append(c)
+        return leaves
+
+    for c in quantities(cmd_quantity_of_state, 1, s=(von_neumann_entropy, "von Neumann entropy"),
+                        rc=(relative_entropy_of_coherence, "relative entropy of coherence")):
+        c.add_argument("--parts", help="one register group, to take the quantity on its marginal")
+    for c in quantities(cmd_quantity_of_parts, 1, mi=(mutual_information, "mutual information"),
+                        ch=(conditional_entropy, "conditional entropy"),
+                        cmi=(conditional_mutual_information, "conditional mutual information")):
+        c.add_argument("--parts", required=True, help="register groups, comma separated, '+' joins")
+    quantities(cmd_quantity_of_pair, 2, "--allow-inf", d=(relative_entropy, "relative entropy"),
+               dmax=(max_relative_entropy, "max-relative entropy"))
+    quantities(cmd_quantity_variance, 2, v=(relative_entropy_variance, "relative entropy variance"))
+    for c in quantities(cmd_quantity_at_eps, 2, "--allow-inf",
+                        dh=(hypothesis_testing_relative_entropy, "hypothesis-testing D_H^eps"),
+                        df=(restricted_hypothesis_testing, "D_H^eps over free (diagonal) tests")):
+        c.add_argument("--eps", type=float, required=True, help="the test's error tolerance")
 
     r = _leaf(sub, "rates", cmd_rates, "full closed-form rate report for one pure state",
               "--seed", *output, "--budget")

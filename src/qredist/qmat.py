@@ -117,16 +117,6 @@ class RegisterSystem:
             raise RegisterError(f"unknown labels {sorted(unknown)}")
         return RegisterSystem(tuple(r for r in self.registers if r[0] in keep))
 
-    def drop(self, labels: Sequence[str]) -> "RegisterSystem":
-        gone = set(labels)
-        unknown = gone - set(self.labels)
-        if unknown:
-            raise RegisterError(f"unknown labels {sorted(unknown)}")
-        rest = tuple(r for r in self.registers if r[0] not in gone)
-        if not rest:
-            raise RegisterError("cannot drop every register")
-        return RegisterSystem(rest)
-
 
 def system(*registers: tuple[str, int]) -> RegisterSystem:
     """Shorthand constructor: ``system(("R", 2), ("B", 2))``."""

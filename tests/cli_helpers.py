@@ -1,4 +1,4 @@
-"""The leaves of the CLI's parser tree: each command, or each `simulate`/`sweep` target.
+"""The leaves of the CLI's parser tree: each command, `simulate`/`sweep` target or quantity name.
 
 ``test_cli.py`` checks that every flag a leaf takes is read, and
 ``test_cli_fuzz.py`` draws its flag mutations from each leaf's own flags.

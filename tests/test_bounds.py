@@ -184,9 +184,19 @@ def rate_dominance(monkeypatch, tmp_path):
         "rates", path]
 
 
+def copies_additivity(monkeypatch, tmp_path):
+    # one copy standing in for two halves every per-copy rate
+    monkeypatch.setattr(rates, "tensor_power_state", lambda psi, m: psi)
+    _, path = _rabc_file(tmp_path)
+    argv = ["sweep", "copies", "--state", path, "--max-copies", "2"]
+    return ("additivity of the rates over 2 copies",
+            lambda: cli.cmd_copies(cli.build_parser().parse_args(argv)), argv)
+
+
 CASES = [coherence_gain, convex_split, decoder_claim_bound, decoder_eps2_gamma,
          transfer_overlap, final_distance, sequential_projectors, close_states, cmi_routes,
-         cmi_subadditivity, rates_subadditivity, rate_form_spread, rate_dominance]
+         cmi_subadditivity, rates_subadditivity, rate_form_spread, rate_dominance,
+         copies_additivity]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case.__name__ for case in CASES])

@@ -66,13 +66,17 @@ BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def run_fresh(argv, **env):
-    """Run the command line in a new interpreter, with ``env`` added to its environment."""
+def python_fresh(args, **env):
+    """Run a new interpreter on ``args``, with ``env`` added to its environment."""
     src = str(Path(qredist.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "qredist.cli", *argv], capture_output=True,
-                          text=True, timeout=30,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60,
                           env={**os.environ, **env, "PYTHONPATH": path})
+
+
+def run_fresh(argv, **env):
+    """Run the command line in a new interpreter, with ``env`` added to its environment."""
+    return python_fresh(["-m", "qredist.cli", *argv], **env)
 
 
 def run_or_exit(capsys, argv):
@@ -154,13 +158,16 @@ def test_quantity_hypothesis_testing(capsys, files):
     assert code == 0
     assert float(out.split("=")[1]) == pytest.approx(0.15200309344504995, abs=1e-10)
     # eps is mandatory for the testing quantities
-    code, _, _ = run(capsys, ["quantity", "dh", files["mix.json"], files["mix.json"]])
+    code, _, err = run_or_exit(capsys, ["quantity", "dh", files["mix.json"], files["mix.json"]])
     assert code == 2
+    assert "the following arguments are required: --eps" in err
 
 
 def test_quantity_input_errors(capsys, files):
-    code, _, err = run(capsys, ["quantity", "s", files["mix.json"], files["id2.json"]])
+    code, _, err = run_or_exit(capsys, ["quantity", "s", files["mix.json"], files["id2.json"]])
     assert code == 2  # wrong file count
+    code, _, err = run_or_exit(capsys, ["quantity", "d", files["mix.json"]])
+    assert code == 2
     code, _, err = run(capsys, ["quantity", "s", files["broken.json"]])
     assert code == 2
     code, _, err = run(capsys, ["quantity", "s", files["dir"] + "/missing.json"])
@@ -185,7 +192,7 @@ def test_quantity_input_errors(capsys, files):
             fh.write('{"registers": [{"label": "Q", "dim": 2}], %s}' % payload)
         code, out, err = run(capsys, ["quantity", "s", path])
         assert (code, out) == (2, "")
-    code, _, err = run(capsys, ["quantity", "mi", files["ghz.json"]])
+    code, _, err = run_or_exit(capsys, ["quantity", "mi", files["ghz.json"]])
     assert code == 2  # missing --parts
 
 
@@ -355,19 +362,43 @@ def test_simulate_qsr_rejects_zero_override(capsys, flag, message):
     assert message in err
 
 
-@pytest.mark.parametrize("name", ["mismatched-prior", "classical-side-info"])
-def test_simulate_qsr_prints_the_same_bytes_on_one_and_two_blas_threads(name):
-    # at n = 7 the slot branches hold 65 536 amplitudes, past the size at which OpenBLAS
-    # splits a dot product across threads; the protocol's sums are numpy's, so their
-    # rounding does not depend on the thread count
-    argv = ["simulate", "qsr", "--instance", name, "--n-override", "7",
-            "--budget", "16777216", "--format", "json"]
+# One interpreter per BLAS thread count runs the battery through ``cli.main``.  At forced
+# n = 7 the slot branches hold 65 536 amplitudes, past the size at which OpenBLAS splits a
+# dot product across threads; the protocol's sums are numpy's, so their rounding does not
+# depend on the thread count.  A 17-qubit rate report still moves in the last digit.
+BLAS_BATTERY = [
+    ["selftest"],
+    ["rates", "--random-qubits", "13", "--seed", "3"],
+    ["sweep", "delta"],
+    ["simulate", "convex-split"],
+    ["simulate", "qsr", "--instance", "mismatched-prior"],
+    ["sweep", "block"],
+    ["sweep", "copies", "--random-qubits", "4", "--max-copies", "3"],
+    *(["simulate", "qsr", "--instance", name, "--n-override", "7", "--budget", "16777216",
+       "--format", "json"] for name in ("mismatched-prior", "classical-side-info")),
+]
+IN_PROCESS = """
+import contextlib, io, json, sys
+from qredist.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(json.dumps([argv, code, out.getvalue()]))
+"""
+
+
+def test_cli_battery_prints_the_same_bytes_on_one_and_two_blas_threads():
     outs = []
     for threads in ("1", "2"):
-        proc = run_fresh(argv, **{var: threads for var in BLAS_THREAD_VARS})
+        proc = python_fresh(["-c", IN_PROCESS, json.dumps(BLAS_BATTERY)],
+                            **{var: threads for var in BLAS_THREAD_VARS})
         assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+        runs = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [(argv, code) for argv, code, _ in runs] == [(argv, 0) for argv in BLAS_BATTERY]
+        outs.append(runs)
+    for (argv, _, one), (_, _, two) in zip(*outs):
+        assert one == two, argv
 
 
 # --------------------------------------------------------------------------
@@ -451,16 +482,25 @@ def test_budget_below_one_is_bad_input(capsys, command):
     ["sweep", "block", "--allow-inf"],
     ["sweep", "copies", "--random-qubits", "4", "--deltas", "1"],
     ["sweep", "eps", "--rho", "mix.json", "--sigma", "id2.json", "--seed", "1"],
+    *(["quantity", *base, *flag] for base in (
+        ["s", "ghz.json"], ["rc", "ghz.json"], ["mi", "ghz.json", "--parts", "C,R"],
+        ["ch", "ghz.json", "--parts", "C,R"], ["cmi", "ghz.json", "--parts", "C,R,B"])
+      for flag in (["--eps", "0.1"], ["--allow-inf"])),
+    *(["quantity", name, "mix.json", "id2.json", *flag] for name, flag in (
+        ("d", ["--parts", "Q"]), ("d", ["--eps", "0.1"]),
+        ("dmax", ["--parts", "Q"]), ("dmax", ["--eps", "0.2"]),
+        ("v", ["--parts", "Q"]), ("v", ["--eps", "0.3"]), ("v", ["--allow-inf"]),
+        ("dh", ["--eps", "0.1", "--parts", "Q"]), ("df", ["--eps", "0.1", "--parts", "Q"]))),
 ])
 def test_options_a_command_never_reads_are_refused(capsys, files, command):
-    # each of these exited 0 with the option ignored; each command and each simulate or
-    # sweep target has its own parser, which exits 2 on an option it does not take and
-    # prints its own usage line, not the top-level one
+    # each of these exited 0 with the option ignored; each command, each simulate or sweep
+    # target and each quantity name has its own parser, which exits 2 on an option it does
+    # not take and prints its own usage line, not the top-level one
     argv = [files.get(arg, arg) for arg in command]
     code, out, err = run_or_exit(capsys, argv)
     assert (code, out) == (2, "")
     assert "unrecognized arguments" in err
-    leaf = command[:2] if command[0] in ("simulate", "sweep") else command[:1]
+    leaf = command[:2] if command[0] in ("simulate", "sweep", "quantity") else command[:1]
     assert f"usage: qredist {' '.join(leaf)} [-h]" in err
 
 

@@ -1,8 +1,8 @@
 """Seeded fuzz of the CLI's exit-code contract across every leaf parser.
 
-Each case is an argv for one command or `simulate`/`sweep` target: a valid
-base with one out-of-domain flag value, a seeded draw of several, or a
-malformed state file in one of the leaf's file slots.  For every case the exit
+Each case is an argv for one command, `simulate`/`sweep` target or quantity
+name: a valid base with one out-of-domain flag value, a seeded draw of several,
+or a malformed state file in one of the leaf's file slots.  For every case the exit
 code is documented (0 to 4, argparse's exit counting as 2), exit 1 means an
 infinite quantity, a failure prints nothing but its error message, no warning
 is raised, and a second run prints the same bytes.  The case id is the argv, so a failure
@@ -24,7 +24,16 @@ from qredist.stateio import save_state
 
 # A valid argv per leaf, cheap to run; "@name" is a state file written per test.
 BASE = {
-    ("quantity",): ["d", "@q", "@q"],
+    ("quantity", "s"): ["@q"],
+    ("quantity", "rc"): ["@pq", "--parts", "C"],
+    ("quantity", "mi"): ["@pq", "--parts", "P,C"],
+    ("quantity", "ch"): ["@pq", "--parts", "P,C"],
+    ("quantity", "cmi"): ["@psi", "--parts", "C,R,B"],
+    ("quantity", "d"): ["@q", "@c"],
+    ("quantity", "dmax"): ["@q", "@c"],
+    ("quantity", "v"): ["@q", "@c"],
+    ("quantity", "dh"): ["@q", "@c", "--eps", "0.1"],
+    ("quantity", "df"): ["@q", "@c", "--eps", "0.1"],
     ("rates",): ["@psi", "--sigma-c", "@c"],
     ("simulate", "coherence-creation"): [],
     ("simulate", "convex-split"): ["--state", "@pq", "--sigma", "@c"],
@@ -114,8 +123,13 @@ def _drawn_cases(seed=2024, per_leaf=8):
 
 
 def _file_cases():
-    cases = []
-    for path, base in BASE.items():
+    # leaves that share a run function share its loaders, so the first of them stands for all
+    cases, runs = [], set()
+    for path, parser in leaf_parsers():
+        if parser.get_default("run") in runs:
+            continue
+        runs.add(parser.get_default("run"))
+        base = BASE[path]
         for slot in (i for i, arg in enumerate(base) if arg.startswith("@")):
             for probe in PROBES:
                 argv = list(base)
@@ -152,6 +166,12 @@ def state_files(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    # one for all cases: a directory per case takes longer to make than most cases to run
+    return tmp_path_factory.mktemp("fuzz-out")
+
+
 def _run(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would print on stderr besides the error
@@ -164,8 +184,8 @@ def _run(capsys, argv):
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c) for c in CASES])
-def test_exit_code_contract(capsys, monkeypatch, tmp_path, state_files, case):
-    monkeypatch.chdir(tmp_path)  # an --out that is a bare value lands here
+def test_exit_code_contract(capsys, monkeypatch, out_dir, state_files, case):
+    monkeypatch.chdir(out_dir)  # an --out that is a bare value lands here
     argv = [state_files[arg[1:]] if arg.startswith("@") else arg for arg in case]
     code, out, err = _run(capsys, argv)
     assert code in (0, 1, 2, 3, 4), err

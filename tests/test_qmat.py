@@ -48,7 +48,6 @@ def test_register_system_basics():
     assert sys_.dim_of(["A", "C"]) == 8
     # subsystem keeps the parent order regardless of the request order
     assert sys_.subsystem(["C", "A"]).registers == (("A", 2), ("C", 4))
-    assert sys_.drop(["B"]).labels == ("A", "C")
 
 
 def test_register_system_rejects_duplicates_and_bad_dims():
