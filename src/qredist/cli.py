@@ -129,27 +129,42 @@ def _budget(args: argparse.Namespace, default: int = MAX_AMPLITUDES) -> int:
     return default if args.budget is None else args.budget
 
 
+def _refuse_draw_options(**given: Any) -> None:
+    """A state file replaces the seeded draw, so an option that only the draw reads is refused."""
+    for dest, value in given.items():
+        if value is not None:
+            raise InputError(f"--{dest.replace('_', '-')} sets the seeded draw, "
+                             "which a state file replaces")
+
+
 def _pure_input(args: argparse.Namespace) -> StateVector:
     """The pure state from exactly one of a state file or --random-qubits."""
     if (args.state is None) == (args.random_qubits is None):
         raise InputError("provide exactly one of a state file or --random-qubits")
     budget = _budget(args)
     if args.state is not None:
+        _refuse_draw_options(seed=args.seed)
         psi = _load_vector(args.state)
         if args.budget is not None:
             _check_budget(psi.system.dim, 1, 0, budget, f"state file {args.state}")
         return psi
     n = args.random_qubits
     _check_budget(1, 2, n, budget, f"--random-qubits {n} (2^{n} amplitudes)")
-    return _random_pure_rabc(args.seed, n)
+    return _random_pure_rabc(args.seed or 0, n)
 
 
-def _split_pair(args: argparse.Namespace) -> tuple[DensityOperator, DensityOperator]:
-    """Joint state and reference from --state and --sigma, or a seeded capped draw."""
-    if args.state is None:
-        return random_split_instance(np.random.default_rng(args.seed), args.k_cap)
+def _split_pair(args: argparse.Namespace, k_cap: float
+                ) -> tuple[DensityOperator, DensityOperator]:
+    """Joint state and reference from --state and --sigma, or a seeded draw capped at
+    --k-cap, by default at ``k_cap``."""
+    if args.state is None and args.sigma is None:
+        return random_split_instance(np.random.default_rng(args.seed or 0),
+                                     k_cap if args.k_cap is None else args.k_cap)
     if args.sigma is None:
         raise InputError(f"{args.target} with a state file also needs --sigma")
+    if args.state is None:
+        raise InputError(f"{args.target} with --sigma also needs --state")
+    _refuse_draw_options(seed=args.seed, k_cap=args.k_cap)
     return load_density(args.state), load_density(args.sigma)
 
 
@@ -176,10 +191,13 @@ def _render(val: float | str) -> str:
     return val if isinstance(val, str) else repr(val)
 
 
+def _json_text(payload: Any) -> str:
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
 def _rows_to_text(rows: list[dict[str, Any]], header: list[str], fmt: str) -> str:
     if fmt == "json":
-        payload = [{k: row[k] for k in header} for row in rows]
-        return json.dumps(payload, sort_keys=True) + "\n"
+        return _json_text([{k: row[k] for k in header} for row in rows])
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -199,10 +217,11 @@ def _rows_to_text(rows: list[dict[str, Any]], header: list[str], fmt: str) -> st
 # quantity command: each name's leaf carries its function as ``args.quantity``
 
 def _quantity_text(args: argparse.Namespace, value: float | str) -> str:
+    row = {"quantity": args.name, "value": value}
     if args.format == "json":
-        return json.dumps({"quantity": args.name, "value": value}, sort_keys=True) + "\n"
+        return _json_text(row)
     if args.format == "csv":
-        return f"quantity,value\n{args.name},{_render(value)}\n"
+        return _rows_to_text([row], list(row), "csv")
     return f"{args.name} = {_render(value)}\n"
 
 
@@ -247,9 +266,11 @@ def cmd_rates(args: argparse.Namespace) -> str:
     units = rates.COBIT_UNITS if args.units == "cobits" else rates.QUBIT_UNITS
     report = rates.rate_report(psi, sigma_c).in_units(units)
     if args.format == "json":
-        return report.to_json_str() + "\n"
+        return _json_text(report.to_json())
     if args.format == "csv":
-        return report.to_csv_row()
+        rows = [{"rate": name, "value": val, "units": report.units_of(name)}
+                for name, val in report.entries().items()]
+        return _rows_to_text(rows, ["rate", "value", "units"], "csv")
     lines = [f"units: {report.units}"]
     for name, val in report.entries().items():
         lines.append(f"  {name} = {_render(val)}")
@@ -261,15 +282,11 @@ def cmd_rates(args: argparse.Namespace) -> str:
 
 def _transcript_text(args: argparse.Namespace, transcript) -> str:
     if args.format == "json":
-        return json.dumps(transcript.to_json(), sort_keys=True) + "\n"
+        return _json_text(transcript.to_json())
     if args.format == "csv":
         c = transcript.to_json()["counters"]
-        header = sorted(c) + ["achieved_fidelity"]
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        w.writerow([c[h] for h in sorted(c)] + [_render(transcript.achieved_fidelity)])
-        return buf.getvalue()
+        row = {**c, "achieved_fidelity": transcript.achieved_fidelity}
+        return _rows_to_text([row], sorted(c) + ["achieved_fidelity"], "csv")
     lines = []
     for i, step in enumerate(transcript.steps, 1):
         lines.append(f"step {i}: {step.description}")
@@ -292,7 +309,7 @@ def cmd_coherence_creation(args: argparse.Namespace) -> str:
 
 
 def cmd_convex_split(args: argparse.Namespace) -> str:
-    rho, sigma = _split_pair(args)
+    rho, sigma = _split_pair(args, 0.5)
     chk = convex_split_bound_check(rho, sigma, eps=args.eps, delta=args.delta,
                                    budget=_budget(args, MAX_DENSITY_DIM))
     row = {"k": chk.k, "n": chk.n, "fidelity_sq": chk.fidelity_squared, "bound": chk.bound}
@@ -334,7 +351,7 @@ def cmd_delta(args: argparse.Namespace) -> str:
     deltas = _parse_float_list(args.deltas)
     if not deltas:
         raise InputError("empty sweep: no delta values given")
-    rho, sigma = _split_pair(args)
+    rho, sigma = _split_pair(args, 0.15)
     budget = _budget(args, MAX_DENSITY_DIM)
     rows = []
     for delta in deltas:
@@ -441,7 +458,7 @@ def _selftest_checks(seed: int) -> list[tuple[str, bool, str]]:
 
 
 def cmd_selftest(args: argparse.Namespace) -> str:
-    checks = _selftest_checks(args.seed)
+    checks = _selftest_checks(args.seed or 0)
     lines = [f"{'ok  ' if ok else 'FAIL'} {name} ({info})" for name, ok, info in checks]
     passed = sum(ok for _, ok, _ in checks)
     report = "\n".join([*lines, f"{passed} of {len(checks)} checks passed"])
@@ -476,7 +493,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _OPTIONS: dict[str, dict[str, Any]] = {
-    "--seed": dict(type=_seed, default=0, help="seed for any randomness (a non-negative integer)"),
+    "--seed": dict(type=_seed, help="seed for any randomness (a non-negative integer)"),
     "--format": dict(choices=("json", "csv", "pretty"), default="pretty"),
     "--out": dict(type=_path, help="write output to this file instead of stdout"),
     "--budget": dict(type=int,
@@ -498,13 +515,12 @@ def _leaf(sub: argparse._SubParsersAction, name: str, run: Callable[[argparse.Na
     return p
 
 
-def _split_options(p: argparse.ArgumentParser, k_cap: float) -> None:
+def _split_options(p: argparse.ArgumentParser) -> None:
     """What a convex split reads: a state pair from files, or a seeded capped draw."""
     p.add_argument("--state", type=_path, help="joint state file on P, Q")
     p.add_argument("--sigma", type=_path, help="reference state file on Q")
     p.add_argument("--eps", type=float, default=0.0, help="smoothing radius")
-    p.add_argument("--k-cap", type=float, default=k_cap,
-                   help="correlation cap for seeded random instances")
+    p.add_argument("--k-cap", type=float, help="correlation cap for seeded random instances")
 
 
 @functools.cache
@@ -563,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--e", type=int, default=1, help="singlets available")
     c = _leaf(targets, "convex-split", cmd_convex_split, "the convex-split fidelity bound",
               "--seed", *output, "--budget")
-    _split_options(c, 0.5)
+    _split_options(c)
     c.add_argument("--delta", type=float, default=0.25, help="overlap budget")
     c = _leaf(targets, "qsr", cmd_qsr, "state redistribution on a built-in instance",
               *output, "--budget")
@@ -583,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--max-copies", type=int, default=3, help="largest copy count")
     c = _leaf(targets, "delta", cmd_delta, "the convex-split bound over delta",
               "--seed", *output, "--budget")
-    _split_options(c, 0.15)
+    _split_options(c)
     c.add_argument("--deltas", default="0.5,0.25,0.125", help="delta values")
     c = _leaf(targets, "eps", cmd_eps, "hypothesis-testing relative entropy over eps",
               *output, "--allow-inf")

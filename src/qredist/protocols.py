@@ -400,9 +400,7 @@ def _spin_block_fidelity(rotated: np.ndarray, root_p: np.ndarray, s: np.ndarray,
         qmat._check_psd(tau)
         mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
         trace += mult * float(tau.trace().real)
-        r = (root_p[:, None] * root_d).reshape(-1)
-        evals = np.linalg.eigvalsh(tau * np.outer(r, r))
-        f += mult * float(np.sum(np.sqrt(np.clip(evals, 0.0, None))))
+        f += mult * fidelity_matrices(tau, (root_p[:, None] * root_d).reshape(-1))
     if not abs(trace - 1.0) <= qmat.NORM_TOL:
         raise InvalidState(f"spin blocks carry trace {trace}, not 1 within {qmat.NORM_TOL}")
     return f

@@ -459,23 +459,12 @@ def purified_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     return float(np.sqrt(max(0.0, 1.0 - f * f)))
 
 
-def trace_norm_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Trace norm || rho - sigma ||_1 (twice the usual trace distance)."""
-    if rho.system.registers != sigma.system.registers:
-        raise DimensionMismatch("trace norm distance requires identical register systems")
-    return trace_norm(rho.matrix - sigma.matrix)
-
-
 def relabel_system(sys_: RegisterSystem, mapping: dict[str, str]) -> RegisterSystem:
     """Rename registers in place (no axis movement); unknown keys are rejected."""
     unknown = set(mapping) - set(sys_.labels)
     if unknown:
         raise RegisterError(f"unknown labels {sorted(unknown)}")
     return RegisterSystem(tuple((mapping.get(lab, lab), dim) for lab, dim in sys_.registers))
-
-
-def relabel_vector(psi: StateVector, mapping: dict[str, str]) -> StateVector:
-    return StateVector(relabel_system(psi.system, mapping), psi.amplitudes)
 
 
 def relabel_density(rho: DensityOperator, mapping: dict[str, str]) -> DensityOperator:

@@ -10,10 +10,7 @@ either view.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -92,20 +89,11 @@ class RateReport:
     def entries(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in self._FIELDS}
 
+    def units_of(self, name: str) -> str:
+        return self.units if name in self._SCALED else "classical bits per copy"
+
     def to_json(self) -> dict[str, Any]:
         return {"units": self.units, "rates": self.entries(), "details": self.details}
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    def to_csv_row(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["rate", "value", "units"])
-        for name, val in self.entries().items():
-            units = "classical bits per copy" if name == "classical_rate_incoherent" else self.units
-            w.writerow([name, repr(val), units])
-        return buf.getvalue()
 
 
 def _require(psi: StateVector, labels: set[str]) -> None:
@@ -215,6 +203,8 @@ class _PureMarginals:
         return form_entropy, form_relent, form_product
 
     def incoherent_rate(self, sigma_c: DensityOperator | None) -> float:
+        """Half of I(C:R|B) plus the local-coherence gap between the (B, C) and B marginals,
+        once the three forms agree to ``FORM_TOL``."""
         a, b, c = self.rate_forms(sigma_c)
         _check_bound("spread of the three incoherent rate forms", max(a, b, c) - min(a, b, c),
                      0.0, "<=", FORM_TOL)
@@ -253,26 +243,10 @@ def incoherent_rate_forms(
     return _PureMarginals(psi).rate_forms(sigma_c)
 
 
-def incoherent_qsr_rate(psi: StateVector, sigma_c: DensityOperator | None = None) -> float:
-    """Qubit rate for redistribution with an incoherent decoder.
-
-    Half of {I(C:R|B) plus the local-coherence gap between the (B, C) and B
-    marginals}; all three computation routes must agree to ``FORM_TOL``.
-    """
-    return _PureMarginals(psi).incoherent_rate(sigma_c)
-
-
 def incoherent_schumacher_rate(rho_c: DensityOperator) -> float:
     """Compression rate with incoherent decoding: mean of S and dephased S."""
     return 0.5 * (von_neumann_entropy(rho_c)
                   + entropy_of_probs(np.diagonal(rho_c.matrix).real))
-
-
-def classical_rate_incoherent(
-    psi: StateVector, sigma_c: DensityOperator | None = None
-) -> float:
-    """Forward classical bits per copy: twice the incoherent qubit rate."""
-    return 2.0 * incoherent_qsr_rate(psi, sigma_c)
 
 
 # ---------------------------------------------------------------------------

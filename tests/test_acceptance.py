@@ -38,9 +38,8 @@ from qredist.qmat import (
     psd_sqrt,
     purified_distance,
     trace_norm,
-    trace_norm_distance,
 )
-from qredist.rates import classical_rate_incoherent, incoherent_rate_forms, incoherent_schumacher_rate
+from qredist.rates import incoherent_rate_forms, incoherent_schumacher_rate, rate_report
 from qredist.sampling import random_density, random_pure_state, random_unitary
 
 
@@ -138,7 +137,7 @@ def test_criterion_5_flat_qubit_special_case():
     rb = StateVector(qmat.qubits("R", "B"), bell)
     plus_c = StateVector(qmat.qubits("C"), np.array([1.0, 1.0]) / math.sqrt(2.0))
     psi = qmat.tensor_vectors(rb, plus_c)
-    classical = classical_rate_incoherent(psi)
+    classical = rate_report(psi).classical_rate_incoherent
     if abs(classical - 1.0) > 1e-12:
         violations.append(("classical", classical))
     _report(5, "flat qubit special case", violations, started)
@@ -301,7 +300,7 @@ def test_criterion_8_inequality_suite():
         sys_ = qmat.system(("S", d))
         rho = random_density(sys_, rng)
         sigma = random_density(sys_, rng)
-        t = trace_norm_distance(rho, sigma) / 2.0
+        t = trace_norm(rho.matrix - sigma.matrix) / 2.0
         gap = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
         if gap > t * math.log2(d - 1) + _h2(t) + 1e-8:
             violations.append(("continuity", trial, gap, t))

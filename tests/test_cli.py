@@ -1,5 +1,7 @@
 import ast
+import csv
 import inspect
+import io
 import json
 import math
 import os
@@ -41,6 +43,10 @@ def files(tmp_path):
     plus2 = StateVector(qmat.qubits("Q1", "Q2"), np.full(4, 0.5, dtype=complex))
     write("plus2.json", plus2)
     write("id4.json", DensityOperator(qmat.qubits("Q1", "Q2"), np.eye(4) / 4.0))
+    write("psi.json", random_pure_state(qmat.qubits("R", "A", "B", "C"), np.random.default_rng(2)))
+    write("c.json", DensityOperator(qmat.system(("C", 2)), np.diag([0.6, 0.4])))
+    write("pq.json", qmat.tensor(DensityOperator(qmat.system(("P", 2)), np.diag([0.6, 0.4])),
+                                 DensityOperator(qmat.qubits("Q"), np.eye(2) / 2.0)))
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
     paths["broken.json"] = str(bad)
@@ -504,6 +510,24 @@ def test_options_a_command_never_reads_are_refused(capsys, files, command):
     assert f"usage: qredist {' '.join(leaf)} [-h]" in err
 
 
+@pytest.mark.parametrize("command, option", [
+    (["rates", "psi.json", "--seed", "7"], "--seed"),
+    (["sweep", "copies", "--state", "psi.json", "--seed", "9"], "--seed"),
+    *(([*target, "--state", "pq.json", "--sigma", "id2.json", *flag], flag[0])
+      for target in (["simulate", "convex-split"], ["sweep", "delta"])
+      for flag in (["--seed", "1"], ["--k-cap", "0.3"])),
+    *(([*target, "--sigma", "id2.json"], "--state")
+      for target in (["simulate", "convex-split"], ["sweep", "delta"])),
+])
+def test_options_of_the_other_input_mode_are_refused(capsys, files, command, option):
+    # regression: each of these exited 0 with the option unread; the seed and the cap set
+    # only the seeded draw, which state files replace, and a --sigma without --state ran
+    # the draw
+    code, out, err = run(capsys, [files.get(arg, arg) for arg in command])
+    assert (code, out) == (2, "")
+    assert option in err
+
+
 @pytest.mark.parametrize("command, flag", [
     (["simulate", "convex-split", "--sigma", "id2.json", "--state", ""], "--state"),
     (["simulate", "convex-split", "--state", "mix.json", "--sigma", ""], "--sigma"),
@@ -598,6 +622,58 @@ def test_sweep_block(capsys):
     assert code == 2
     code, out, _ = run(capsys, ["sweep", "block", "--b-list", "1.6,2.5"])
     assert (code, out) == (2, "")  # not rounded to 2, 2
+
+
+# --------------------------------------------------------------------------
+# output formats
+
+CROSS_FORMAT = [
+    ["rates", "psi.json", "--sigma-c", "c.json"],
+    ["rates", "--random-qubits", "5", "--units", "cobits"],
+    ["quantity", "s", "mix.json"], ["quantity", "rc", "ghz.json", "--parts", "R+B"],
+    ["quantity", "mi", "ghz.json", "--parts", "C,R"],
+    ["quantity", "ch", "ghz.json", "--parts", "C,R"],
+    ["quantity", "cmi", "ghz.json", "--parts", "C,R,B"],
+    ["quantity", "d", "mix.json", "pure0.json", "--allow-inf"],
+    ["quantity", "dmax", "mix.json", "id2.json"], ["quantity", "v", "mix.json", "id2.json"],
+    ["quantity", "dh", "mix.json", "id2.json", "--eps", "0.2"],
+    ["quantity", "df", "plus2.json", "id4.json", "--eps", "0.1"],
+    ["simulate", "coherence-creation", "--q", "2", "--e", "1"],
+    ["simulate", "convex-split"],
+    ["simulate", "qsr", "--instance", "mismatched-prior", "--n-override", "3"],
+    ["sweep", "copies", "--random-qubits", "4", "--max-copies", "2"],
+    ["sweep", "delta"],
+    ["sweep", "eps", "--rho", "mix.json", "--sigma", "id2.json"],
+    ["sweep", "block", "--b-list", "1,2"],
+]
+
+
+def _csv_rows_of(payload):
+    """The rows that a command's CSV holds, read off its JSON."""
+    if isinstance(payload, list):  # a table: the convex split and the sweeps
+        return payload
+    if "rates" in payload:
+        return [{"rate": name, "value": value,
+                 "units": ("classical bits per copy" if name == "classical_rate_incoherent"
+                           else payload["units"])} for name, value in payload["rates"].items()]
+    if "counters" in payload:  # a transcript
+        return [{**payload["counters"], "achieved_fidelity": payload["achieved_fidelity"]}]
+    return [payload]  # one quantity
+
+
+@pytest.mark.parametrize("command", CROSS_FORMAT, ids=" ".join)
+def test_csv_cells_are_the_repr_of_the_json_values(capsys, files, command):
+    argv = [files.get(arg, arg) for arg in command]
+    code, out, _ = run(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    expected = [{key: value if isinstance(value, str) else repr(value)
+                 for key, value in row.items()} for row in _csv_rows_of(json.loads(out))]
+    code, out, _ = run(capsys, [*argv, "--format", "csv"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    if command[0] == "rates":  # JSON sorts the rate names, CSV keeps the report's order
+        rows.sort(key=lambda row: row["rate"])
+    assert rows == expected
 
 
 # --------------------------------------------------------------------------

@@ -45,14 +45,15 @@ def test_modules_use_their_imports():
     assert unused == {}
 
 
-def _unreferenced_helpers(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions and classes that no code names outside their
-    own definition, across all the given modules."""
+def _unreferenced_helpers(sources: dict[str, str], public: bool = False) -> list[str]:
+    """Module-level private (or, with ``public``, public) functions and classes that no code
+    names outside their own definition, across all the given modules.  A re-export names
+    nothing: an import binds an alias, and ``__all__`` lists strings."""
     defined, used = [], set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
-            if own and own.startswith("_") and not own.startswith("__"):
+            if own and not own.startswith("__") and own.startswith("_") != public:
                 defined.append((module, own))
             names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
             names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
@@ -70,6 +71,72 @@ def test_unreferenced_helper_is_flagged():
     source = ("def _kept():\n    return 1\n\n"
               "def _dead(n):\n    return _dead(n - 1) if n else _kept()\n")
     assert _unreferenced_helpers({"m.py": source}) == ["m.py: _dead"]
+
+
+# public definitions that no package code names, each kept for the reason given
+_UNREACHED_PUBLIC = {
+    "claims of the paper, which tests check directly": [
+        "rates.py: one_shot_achievability_bound", "rates.py: incoherent_schumacher_rate",
+        "protocols.py: sequential_projector_bound_check",
+        "protocols.py: close_states_measurement_check"],
+    "the writer of the state-file format": ["stateio.py: save_state"],
+    "seeded draws for library callers": ["sampling.py: random_pure_state",
+                                         "sampling.py: random_unitary"],
+    "names perfbench traces or calls": [
+        "protocols.py: convex_split_state", "protocols.py: uhlmann_isometry",
+        "qmat.py: relabel_density", "qmat.py: tensor", "qmat.py: tensor_vectors",
+        "rates.py: standard_qsr_rates", "qmat.py: apply_subsystem_matrix"],
+}
+
+
+def test_public_definitions_are_used_or_kept_for_a_reason():
+    package = Path(qredist.__file__).parent
+    unreached = _unreferenced_helpers({path.name: path.read_text()
+                                       for path in sorted(package.glob("*.py"))}, public=True)
+    assert unreached == sorted(sum(_UNREACHED_PUBLIC.values(), []))
+
+
+def test_unreferenced_public_definition_is_flagged():
+    sources = {"m.py": "def kept():\n    return 1\n\n"
+                       "def dead(n):\n    return dead(n - 1) if n else kept()\n\n"
+                       "class _Private:\n    pass\n",
+               "__init__.py": "from .m import dead\n\n__all__ = ['dead']\n"}
+    assert _unreferenced_helpers(sources, public=True) == ["m.py: dead"]
+
+
+# the standard-library modules that turn data into text, and the package modules that may
+# import them: the command line writes every output, and stateio the state-file format
+_TEXT_MODULES = {"csv": {"cli"}, "io": {"cli"}, "json": {"cli", "stateio"}}
+
+
+def _text_imports(sources: dict[str, str]) -> list[str]:
+    """Imports of a text module, function bodies included, by a module not allowed it."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module.split(".")[0]]
+            else:
+                continue
+            found += [f"{module} imports {name}" for name in names
+                      if module not in _TEXT_MODULES.get(name, {module})]
+    return sorted(found)
+
+
+def test_only_the_command_line_writes_text():
+    package = Path(qredist.__file__).parent
+    assert _text_imports({path.stem: path.read_text()
+                          for path in sorted(package.glob("*.py"))}) == []
+
+
+def test_text_import_outside_the_command_line_is_flagged():
+    sources = {"cli": "import csv, io, json\n", "stateio": "import json\n",
+               "rates": "import math\n\ndef f():\n    import csv\n    from json import dumps\n",
+               "qmat": "import io\n"}
+    assert _text_imports(sources) == ["qmat imports io", "rates imports csv",
+                                      "rates imports json"]
 
 
 def _foreign_imports(source: str) -> list[str]:

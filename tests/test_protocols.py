@@ -445,7 +445,7 @@ def test_uhlmann_isometry_reaches_marginal_fidelity():
 def test_uhlmann_isometry_identity_case():
     rng = np.random.default_rng(9)
     psi = random_pure_state(qmat.qubits("S", "X"), rng)
-    psi2 = qmat.relabel_vector(psi, {"X": "Y"})
+    psi2 = qmat.StateVector(qmat.relabel_system(psi.system, {"X": "Y"}), psi.amplitudes)
     viso = uhlmann_isometry(psi, psi2, shared=["S"])
     amps, sys_ = qmat.apply_subsystem_matrix(
         psi2.amplitudes, psi2.system, viso.matrix, ["Y"], viso.out_system.registers
@@ -460,7 +460,8 @@ def test_uhlmann_isometry_needs_room():
     with pytest.raises(qmat.DimensionMismatch):
         uhlmann_isometry(small, big, shared=["S"])  # 4 -> 2 cannot be isometric
     with pytest.raises(RegisterError):
-        uhlmann_isometry(small, qmat.relabel_vector(big, {"S": "T"}))
+        uhlmann_isometry(small, qmat.StateVector(qmat.relabel_system(big.system, {"S": "T"}),
+                                                 big.amplitudes))
 
 
 # --------------------------------------------------------------------------

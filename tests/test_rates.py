@@ -24,8 +24,6 @@ from qredist.rates import (
     COBIT_UNITS,
     QUBIT_UNITS,
     RateReport,
-    classical_rate_incoherent,
-    incoherent_qsr_rate,
     incoherent_rate_forms,
     incoherent_schumacher_rate,
     one_shot_achievability_bound,
@@ -83,12 +81,12 @@ def test_sum_bound_hand_values():
 
 def test_incoherent_rate_hand_values():
     # uncorrelated |+> on C: half a coherent bit must still move
-    psi = bell_times_plus()
-    assert incoherent_qsr_rate(psi) == pytest.approx(0.5, abs=1e-9)
-    assert classical_rate_incoherent(psi) == pytest.approx(1.0, abs=1e-9)
+    report = rate_report(bell_times_plus())
+    assert report.q_min_incoherent == pytest.approx(0.5, abs=1e-9)
+    assert report.classical_rate_incoherent == pytest.approx(1.0, abs=1e-9)
     # classical states pay nothing extra
-    assert incoherent_qsr_rate(ghz()) == pytest.approx(0.5, abs=1e-9)
-    assert incoherent_qsr_rate(product_zero()) == pytest.approx(0.0, abs=1e-9)
+    assert rate_report(ghz()).q_min_incoherent == pytest.approx(0.5, abs=1e-9)
+    assert rate_report(product_zero()).q_min_incoherent == pytest.approx(0.0, abs=1e-9)
 
 
 def test_schumacher_hand_values():
@@ -135,7 +133,7 @@ def test_incoherent_rate_dominates_standard():
     for seed in range(15):
         psi = random_rabc(seed, dims=(2, 2, 2, 3))
         q_std, _ = standard_qsr_rates(psi)
-        q_inc = incoherent_qsr_rate(psi)
+        q_inc = rate_report(psi).q_min_incoherent
         assert q_inc >= q_std - 1e-9
         assert q_inc <= q_std + math.log2(3) + 1e-9
 
@@ -171,17 +169,24 @@ def test_tensor_power_validation():
         tensor_power_state(psi, 0)
 
 
-def test_rate_report_structure():
-    rep = rate_report(random_rabc(1))
+def test_rate_report_structure(tmp_path, capsys):
+    psi = random_rabc(1)
+    rep = rate_report(psi)
     assert rep.units == QUBIT_UNITS
     assert set(rep.entries()) == {
         "q_min_std", "q_plus_e_min_std", "sum_bound_slepian_wolf",
         "q_min_incoherent", "q_min_schumacher_incoherent",
         "q_min_splitting_incoherent", "classical_rate_incoherent",
     }
-    payload = json.loads(rep.to_json_str())
+    assert rep.units_of("q_min_std") == QUBIT_UNITS
+    assert rep.units_of("classical_rate_incoherent") == "classical bits per copy"
+    path = str(tmp_path / "psi.json")
+    save_state(path, psi)
+    assert main(["rates", path, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["units"] == QUBIT_UNITS
-    csv_text = rep.to_csv_row()
+    assert main(["rates", path, "--format", "csv"]) == 0
+    csv_text = capsys.readouterr().out
     assert csv_text.splitlines()[0] == "rate,value,units"
     assert "classical bits per copy" in csv_text
 
@@ -455,7 +460,7 @@ def test_dense_route_catches_a_wrong_entropy(monkeypatch, tmp_path, capsys, labe
     monkeypatch.setattr(rates._PureMarginals, "entropy", skewed)
     psi = random_rabc(5)
     with pytest.raises(ArithmeticError):
-        incoherent_qsr_rate(psi)
+        rates._PureMarginals(psi).incoherent_rate(None)
     with pytest.raises(ArithmeticError):
         rate_report(psi)
     path = str(tmp_path / "psi.json")
