@@ -284,23 +284,19 @@ def _transcript_text(args: argparse.Namespace, transcript) -> str:
     if args.format == "json":
         return _json_text(transcript.to_json())
     if args.format == "csv":
-        c = transcript.to_json()["counters"]
-        row = {**c, "achieved_fidelity": transcript.achieved_fidelity}
-        return _rows_to_text([row], sorted(c) + ["achieved_fidelity"], "csv")
+        row = {name: getattr(transcript, name) for name in transcript.COUNTERS}
+        row["achieved_fidelity"] = transcript.achieved_fidelity
+        return _rows_to_text([row], sorted(transcript.COUNTERS) + ["achieved_fidelity"], "csv")
     lines = []
     for i, step in enumerate(transcript.steps, 1):
-        lines.append(f"step {i}: {step.description}")
-    lines.append(f"qubits sent: {transcript.qubits_sent}")
-    lines.append(f"cobits sent: {transcript.cobits_sent}")
-    lines.append(f"singlets consumed: {transcript.singlets_consumed}")
-    lines.append(f"coherent qubits out: {transcript.coherent_qubits_out}")
+        lines.append(f"step {i}: {step['description']}")
+    for name in transcript.COUNTERS:
+        lines.append(f"{name.replace('_', ' ')}: {getattr(transcript, name)}")
     lines.append(f"achieved fidelity: {_render(transcript.achieved_fidelity)}")
     for key in sorted(transcript.details):
         if key in ("rc_audit",):
             continue
-        lines.append(f"{key}: {_render(transcript.details[key])}"
-                     if isinstance(transcript.details[key], (int, float, str))
-                     else f"{key}: {transcript.details[key]}")
+        lines.append(f"{key}: {_render(transcript.details[key])}")
     return "\n".join(lines) + "\n"
 
 
@@ -365,8 +361,6 @@ def cmd_eps(args: argparse.Namespace) -> str:
     eps_values = _parse_float_list(args.eps_list)
     if not eps_values:
         raise InputError("empty sweep: no eps values given")
-    if args.rho is None or args.sigma is None:
-        raise InputError("eps sweep needs --rho and --sigma state files")
     rho, sigma = load_density(args.rho), load_density(args.sigma)
     rows = []
     for eps in eps_values:
@@ -383,10 +377,10 @@ def cmd_block(args: argparse.Namespace) -> str:
     params = qsr_parameters(inst)
     rows = []
     for b in b_values:
-        res = qsr_decoder_p1(inst, b, params, budget=_budget(args))
-        rows.append({"b": b, "fidelity": res.fidelity,
-                     "purified_distance": res.purified_distance,
-                     "claim_bound": res.transcript.details["claim_bound"]})
+        t = qsr_decoder_p1(inst, b, params, budget=_budget(args))
+        rows.append({"b": b, "fidelity": t.achieved_fidelity,
+                     "purified_distance": t.details["purified_distance"],
+                     "claim_bound": t.details["claim_bound"]})
     return _rows_to_text(rows, ["b", "fidelity", "purified_distance", "claim_bound"], args.format)
 
 
@@ -603,8 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--deltas", default="0.5,0.25,0.125", help="delta values")
     c = _leaf(targets, "eps", cmd_eps, "hypothesis-testing relative entropy over eps",
               *output, "--allow-inf")
-    c.add_argument("--rho", type=_path, help="tested state file")
-    c.add_argument("--sigma", type=_path, help="reference state file")
+    c.add_argument("--rho", type=_path, required=True, help="tested state file")
+    c.add_argument("--sigma", type=_path, required=True, help="reference state file")
     c.add_argument("--eps-list", default="0.05,0.1,0.25", help="eps values")
     c = _leaf(targets, "block", cmd_block, "the decoder's claim bound over block sizes",
               *output, "--budget")

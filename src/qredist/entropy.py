@@ -54,7 +54,7 @@ class EntropicValue:
 def entropy_of_probs(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     p = p[p > EIG_FLOOR]
-    return float(-np.sum(p * np.log2(p)))
+    return float(0.0 - np.sum(p * np.log2(p)))  # a point mass reads +0.0, not -0.0
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -393,18 +393,24 @@ def diagonal_hypothesis_test(p: np.ndarray, q: np.ndarray,
     return _test_value(beta), weights
 
 
+def _restricted_test(rho: DensityOperator, sigma: DensityOperator,
+                     eps: float) -> tuple[EntropicValue, np.ndarray]:
+    _require_same_registers(rho, sigma, "restricted hypothesis testing")
+    return diagonal_hypothesis_test(np.diagonal(rho.matrix).real,
+                                    np.diagonal(sigma.matrix).real, eps)
+
+
 def restricted_hypothesis_test(rho: DensityOperator, sigma: DensityOperator,
                                eps: float) -> tuple[EntropicValue, np.ndarray]:
     """``diagonal_hypothesis_test`` on the diagonals of rho and sigma, the test as Pi."""
-    _require_same_registers(rho, sigma, "restricted hypothesis testing")
-    value, weights = diagonal_hypothesis_test(np.diagonal(rho.matrix).real,
-                                              np.diagonal(sigma.matrix).real, eps)
+    value, weights = _restricted_test(rho, sigma, eps)
     return value, np.diag(weights).astype(complex)
 
 
 def restricted_hypothesis_testing(rho: DensityOperator, sigma: DensityOperator,
                                   eps: float) -> EntropicValue:
-    return restricted_hypothesis_test(rho, sigma, eps)[0]
+    """The value of ``restricted_hypothesis_test``, without forming its d x d Pi."""
+    return _restricted_test(rho, sigma, eps)[0]
 
 
 # ---------------------------------------------------------------------------

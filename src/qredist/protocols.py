@@ -9,6 +9,7 @@ amplitude budget are refused rather than attempted.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -32,7 +33,6 @@ from .qmat import (
     RegisterSystem,
     StateVector,
     _check_bound,
-    fidelity,
     fidelity_matrices,
     partial_trace,
     purified_distance,
@@ -52,17 +52,13 @@ class BudgetExceeded(RuntimeError):
 
 
 @dataclass
-class TranscriptStep:
-    description: str
-    resources: dict[str, float] = field(default_factory=dict)
-    data: dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
 class ProtocolTranscript:
-    """Ordered step log with aggregate resource counters."""
+    """Ordered step log with aggregate resource counters; each step is the dict
+    {"description", "resources", "data"} that ``to_json`` writes."""
 
-    steps: list[TranscriptStep] = field(default_factory=list)
+    COUNTERS = ("qubits_sent", "cobits_sent", "singlets_consumed", "coherent_qubits_out")
+
+    steps: list[dict[str, Any]] = field(default_factory=list)
     qubits_sent: int = 0
     cobits_sent: int = 0
     singlets_consumed: int = 0
@@ -70,17 +66,16 @@ class ProtocolTranscript:
     achieved_fidelity: float = 1.0
     details: dict[str, Any] = field(default_factory=dict)
 
-    def add(self, description: str, **kwargs: Any) -> TranscriptStep:
+    def add(self, description: str, **kwargs: Any) -> None:
         """Log a step; each of its resources is added into the counter of that name."""
         resources = kwargs.pop("resources", {})
-        step = TranscriptStep(description, dict(resources), dict(kwargs))
-        self.steps.append(step)
+        self.steps.append({"description": description, "resources": dict(resources),
+                           "data": kwargs})
         for name, amount in resources.items():
             setattr(self, name, getattr(self, name) + amount)
-        return step
 
     def finalize(self) -> "ProtocolTranscript":
-        for name in ("qubits_sent", "cobits_sent", "singlets_consumed", "coherent_qubits_out"):
+        for name in self.COUNTERS:
             if getattr(self, name) < 0:
                 raise InvalidState(f"negative resource counter {name}")
         if not -1e-9 <= self.achieved_fidelity <= 1.0 + 1e-9:
@@ -90,16 +85,8 @@ class ProtocolTranscript:
 
     def to_json(self) -> dict[str, Any]:
         return {
-            "steps": [
-                {"description": s.description, "resources": s.resources, "data": _jsonable(s.data)}
-                for s in self.steps
-            ],
-            "counters": {
-                "qubits_sent": self.qubits_sent,
-                "cobits_sent": self.cobits_sent,
-                "singlets_consumed": self.singlets_consumed,
-                "coherent_qubits_out": self.coherent_qubits_out,
-            },
+            "steps": _jsonable(self.steps),
+            "counters": {name: getattr(self, name) for name in self.COUNTERS},
             "achieved_fidelity": self.achieved_fidelity,
             "details": _jsonable(self.details),
         }
@@ -577,6 +564,12 @@ class QsrInstance:
             val = getattr(self, nm)
             if not 0.0 < val < 1.0:
                 raise ValueError(f"{nm} must be in (0, 1), got {val}")
+        for nm in ("n_override", "b_override"):  # their ranges are checked by qsr_parameters
+            val = getattr(self, nm)
+            if val is not None:
+                if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+                    raise ValueError(f"{nm} must be an integer, got {val!r}")
+                object.__setattr__(self, nm, int(val))
         diag_sigma = np.diagonal(self.sigma_c.matrix).real
         if np.any((diag_sigma <= qmat.EIG_FLOOR) & (_marginal_diagonal(self.psi, ["C"]) > 1e-10)):
             raise InvalidState("rho_C has mass outside the support of sigma_c")
@@ -681,14 +674,6 @@ def _idx4(r: int, a: int, b: int, c: int) -> int:
 # ---------------------------------------------------------------------------
 # sequential block decoder
 
-@dataclass
-class DecoderResult:
-    transcript: ProtocolTranscript
-    outcome_probs: dict[int, float]
-    fidelity: float
-    purified_distance: float
-
-
 def _weight(amps: np.ndarray) -> float:
     """Squared norm of an amplitude array as a numpy sum: unlike ``np.vdot``, which
     OpenBLAS splits across threads on long vectors, its rounding does not depend on the
@@ -771,7 +756,7 @@ def qsr_decoder_p1(
     b: int,
     params: QsrParameters,
     budget: int = MAX_AMPLITUDES,
-) -> DecoderResult:
+) -> ProtocolTranscript:
     """Bob's sequential decoder (``_decode``, the one ``qsr_full`` runs) on the block
     mixture of b slots, one of which holds the payload.
 
@@ -781,6 +766,8 @@ def qsr_decoder_p1(
     weights ``params.test_bc``, each in [0, 1] (a NaN fails).  When
     ``params.d_f`` is finite the distance is checked against the claim bound
     and, for b 2^(-d_f) <= gamma^4, against eps2 + gamma of the instance.
+    The transcript's details hold b, the purified distance and, for finite d_f,
+    the claim bound; its one step holds the outcome probabilities, keyed by str(k).
     """
     w, d_f = params.test_bc, params.d_f
     eps2, gamma = instance.eps2, instance.gamma
@@ -808,12 +795,7 @@ def qsr_decoder_p1(
             _check_bound("decoder distance against eps2 + gamma", p_dist, eps2 + gamma,
                          "<=", 1e-9)
         _check_bound("decoder distance against the claim bound", p_dist, chain, "<=", 1e-9)
-    return DecoderResult(
-        transcript=t.finalize(),
-        outcome_probs=outcome_probs,
-        fidelity=f,
-        purified_distance=p_dist,
-    )
+    return t.finalize()
 
 
 # ---------------------------------------------------------------------------

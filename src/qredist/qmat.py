@@ -380,11 +380,9 @@ def tensor_vectors(a: StateVector, b: StateVector) -> StateVector:
 
 def partial_trace(rho: DensityOperator, keep: Sequence[str]) -> DensityOperator:
     """Marginal on the named registers, preserving their relative order."""
-    keep = list(keep)
-    axes = [rho.system.axis(l) for l in keep]
-    axes.sort()
+    axes = sorted(rho.system.axis(l) for l in keep)
+    sub = RegisterSystem(tuple(rho.system.registers[a] for a in axes))  # refuses a repeat
     mat = marginal_matrix(rho.matrix, rho.system.dims, axes)
-    sub = RegisterSystem(tuple(rho.system.registers[a] for a in axes))
     return DensityOperator(sub, mat, subnormalized=rho.subnormalized)
 
 

@@ -61,12 +61,13 @@ def test_criterion_1_coherence_creation():
                 violations.append((q, e, "count", t.coherent_qubits_out))
             if t.achieved_fidelity < 1.0 - 1e-9:
                 violations.append((q, e, "fidelity", t.achieved_fidelity))
-            bob_steps = [s for s in t.steps if s.description.startswith("bob")]
+            bob_steps = [s for s in t.steps if s["description"].startswith("bob")]
             if len(bob_steps) != min(e, q):
                 violations.append((q, e, "bob steps", len(bob_steps)))
             for s in bob_steps:
-                if not (s.data.get("incoherent") and "certified incoherent" in s.description):
-                    violations.append((q, e, "uncertified", s.description))
+                text = s["description"]
+                if not (s["data"].get("incoherent") and "certified incoherent" in text):
+                    violations.append((q, e, "uncertified", text))
     if time.monotonic() - started >= 5.0:
         violations.append(("runtime", time.monotonic() - started))
     _report(1, "coherence creation", violations, started)

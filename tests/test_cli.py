@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ import qredist
 from cli_helpers import leaf_parsers, options
 from qredist import cli, qmat
 from qredist.cli import build_parser, main
-from qredist.protocols import random_split_instance
+from qredist.protocols import builtin_qsr_instances, random_split_instance
 from qredist.qmat import BoundViolation, DensityOperator, StateVector
 from qredist.sampling import random_pure_state
 from qredist.stateio import save_state
@@ -44,6 +45,7 @@ def files(tmp_path):
     write("plus2.json", plus2)
     write("id4.json", DensityOperator(qmat.qubits("Q1", "Q2"), np.eye(4) / 4.0))
     write("psi.json", random_pure_state(qmat.qubits("R", "A", "B", "C"), np.random.default_rng(2)))
+    write("unc.json", builtin_qsr_instances()["uncorrelated-pure"].psi)
     write("c.json", DensityOperator(qmat.system(("C", 2)), np.diag([0.6, 0.4])))
     write("pq.json", qmat.tensor(DensityOperator(qmat.system(("P", 2)), np.diag([0.6, 0.4])),
                                  DensityOperator(qmat.qubits("Q"), np.eye(2) / 2.0)))
@@ -203,7 +205,7 @@ def test_quantity_input_errors(capsys, files):
 
 
 @pytest.mark.parametrize("name, parts", [("mi", "R,R"), ("ch", "R+B,B"), ("cmi", "R,B,R"),
-                                         ("mi", "R+B+C,R")])
+                                         ("mi", "R+B+C,R"), ("s", "R+R"), ("rc", "B+R+B")])
 def test_quantity_refuses_overlapping_parts(capsys, files, name, parts):
     # a register named twice is refused, never computed on
     code, out, err = run(capsys, ["quantity", name, files["ghz.json"], "--parts", parts])
@@ -601,8 +603,11 @@ def test_sweep_delta_monotone(capsys, files):
 
 
 def test_sweep_eps(capsys, files):
-    code, _, _ = run(capsys, ["sweep", "eps"])
-    assert code == 2  # needs --rho and --sigma
+    for argv in (["sweep", "eps"], ["sweep", "eps", "--rho", files["mix.json"]]):
+        code, out, err = run_or_exit(capsys, argv)
+        assert (code, out) == (2, "")  # the parser requires --rho and --sigma
+        assert "usage: qredist sweep eps [-h]" in err
+        assert "the following arguments are required: " in err
     code, out, _ = run(capsys, ["sweep", "eps", "--rho", files["mix.json"],
                                 "--sigma", files["id2.json"], "--format", "csv"])
     assert code == 0
@@ -630,7 +635,9 @@ def test_sweep_block(capsys):
 CROSS_FORMAT = [
     ["rates", "psi.json", "--sigma-c", "c.json"],
     ["rates", "--random-qubits", "5", "--units", "cobits"],
-    ["quantity", "s", "mix.json"], ["quantity", "rc", "ghz.json", "--parts", "R+B"],
+    ["rates", "unc.json"],  # point-mass entropies: the Schumacher rate reads 0.0
+    ["quantity", "s", "mix.json"], ["quantity", "s", "pure0.json"],
+    ["quantity", "rc", "ghz.json", "--parts", "R+B"],
     ["quantity", "mi", "ghz.json", "--parts", "C,R"],
     ["quantity", "ch", "ghz.json", "--parts", "C,R"],
     ["quantity", "cmi", "ghz.json", "--parts", "C,R,B"],
@@ -664,13 +671,14 @@ def _csv_rows_of(payload):
 @pytest.mark.parametrize("command", CROSS_FORMAT, ids=" ".join)
 def test_csv_cells_are_the_repr_of_the_json_values(capsys, files, command):
     argv = [files.get(arg, arg) for arg in command]
-    code, out, _ = run(capsys, [*argv, "--format", "json"])
-    assert code == 0
+    outs = {}
+    for fmt in ("json", "csv", "pretty"):
+        code, outs[fmt], _ = run(capsys, [*argv, "--format", fmt])
+        assert code == 0
+        assert "-0.0" not in re.split(r"[\s,:=\[\]{}\"]+", outs[fmt]), fmt  # a zero reads 0.0
     expected = [{key: value if isinstance(value, str) else repr(value)
-                 for key, value in row.items()} for row in _csv_rows_of(json.loads(out))]
-    code, out, _ = run(capsys, [*argv, "--format", "csv"])
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
+                 for key, value in row.items()} for row in _csv_rows_of(json.loads(outs["json"]))]
+    rows = list(csv.DictReader(io.StringIO(outs["csv"])))
     if command[0] == "rates":  # JSON sorts the rate names, CSV keeps the report's order
         rows.sort(key=lambda row: row["rate"])
     assert rows == expected

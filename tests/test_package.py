@@ -85,7 +85,8 @@ _UNREACHED_PUBLIC = {
     "names perfbench traces or calls": [
         "protocols.py: convex_split_state", "protocols.py: uhlmann_isometry",
         "qmat.py: relabel_density", "qmat.py: tensor", "qmat.py: tensor_vectors",
-        "rates.py: standard_qsr_rates", "qmat.py: apply_subsystem_matrix"],
+        "rates.py: standard_qsr_rates", "qmat.py: apply_subsystem_matrix",
+        "entropy.py: restricted_hypothesis_test"],
 }
 
 

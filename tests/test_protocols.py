@@ -631,7 +631,7 @@ def test_qsr_full_decodes_a_short_last_block(b, distance, probs):
     inst = replace(builtin_qsr_instances()["mismatched-prior"], n_override=7, b_override=b)
     t = qsr_full(inst, budget=2 ** 23)
     assert t.details["purified_distance"] == pytest.approx(distance, abs=1e-12)
-    got = t.steps[-1].data["outcome_probs"]
+    got = t.steps[-1]["data"]["outcome_probs"]
     assert list(got) == [str(k) for k in range(1, b + 2)]
     assert [got[str(k)] for k in range(1, b + 2)] == pytest.approx(probs, abs=1e-12)
 
@@ -837,8 +837,8 @@ def test_support_route_matches_the_full_row_route_on_builtins():
             name = (inst.name, n)
             assert t.details["overlap"] == pytest.approx(overlap, abs=1e-12), name
             assert t.details["purified_distance"] == pytest.approx(distance, abs=1e-12), name
-            assert t.steps[-2].data["slot_probs"] == pytest.approx(slot_probs, abs=1e-12), name
-            got = t.steps[-1].data["outcome_probs"]
+            assert t.steps[-2]["data"]["slot_probs"] == pytest.approx(slot_probs, abs=1e-12), name
+            got = t.steps[-1]["data"]["outcome_probs"]
             assert list(got) == [str(k) for k in probs], name
             assert list(got.values()) == pytest.approx(list(probs.values()), abs=1e-12), name
 
@@ -857,9 +857,9 @@ def test_decoder_outcome_probabilities_frozen():
             1.8013848198783273e-06, 3.532127097800544e-08],
     }
     for b, probs in frozen.items():
-        got = qsr_decoder_p1(inst, b, params).outcome_probs
-        assert list(got) == list(range(1, b + 2))
-        assert [got[k] for k in got] == pytest.approx(probs, abs=1e-12)
+        got = qsr_decoder_p1(inst, b, params).steps[-1]["data"]["outcome_probs"]
+        assert list(got) == [str(k) for k in range(1, b + 2)]
+        assert list(got.values()) == pytest.approx(probs, abs=1e-12)
 
 
 def test_qsr_full_forms_no_array_of_the_split_purification_size():
@@ -902,6 +902,24 @@ def test_transfer_overlap_is_marginal_fidelity_down_to_one_slot():
         qsr_full(inst)
 
 
+def test_qsr_instance_takes_integral_overrides_of_any_integer_type():
+    # a numpy integer override runs as a Python int and its transcript stays JSON; any
+    # other type, bool included, is refused by name before a run
+    inst = builtin_qsr_instances()["mismatched-prior"]
+    for overrides in ({"n_override": np.int64(4)}, {"b_override": np.int64(1)},
+                      {"n_override": np.int32(3), "b_override": np.int16(2)}):
+        forced = replace(inst, **overrides)
+        assert all(type(getattr(forced, name)) is int for name in overrides)
+        t = qsr_full(forced)
+        assert all(t.details[name.removesuffix("_override")] == val
+                   for name, val in overrides.items())
+        json.dumps(t.to_json())
+    for name in ("n_override", "b_override"):
+        for bad in (True, 4.0, "4"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                replace(inst, **{name: bad})
+
+
 def test_support_transfer_refuses_weight_dropped_past_the_floor():
     # each squared Schmidt coefficient below EIG_FLOOR is dropped, but their sum
     # may not exceed it
@@ -937,20 +955,21 @@ def test_decoder_single_slot_identity_test():
     # b = 1 with the always-firing test reproduces the state exactly
     inst = builtin_qsr_instances()["uncorrelated-pure"]
     params = replace(qsr_parameters(inst), test_bc=np.ones(4), d_f=0.0)
-    res = qsr_decoder_p1(inst, 1, params)
-    assert res.fidelity == pytest.approx(1.0, abs=1e-9)
-    assert res.outcome_probs[1] == pytest.approx(1.0, abs=1e-9)
-    assert res.outcome_probs[2] == pytest.approx(0.0, abs=1e-12)
+    t = qsr_decoder_p1(inst, 1, params)
+    assert t.achieved_fidelity == pytest.approx(1.0, abs=1e-9)
+    probs = t.steps[-1]["data"]["outcome_probs"]
+    assert probs["1"] == pytest.approx(1.0, abs=1e-9)
+    assert probs["2"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_decoder_outcomes_form_distribution():
     inst = builtin_qsr_instances()["classical-side-info"]
     params = qsr_parameters(inst)
-    res = qsr_decoder_p1(inst, 2, params)
-    total = sum(res.outcome_probs.values())
+    t = qsr_decoder_p1(inst, 2, params)
+    total = sum(t.steps[-1]["data"]["outcome_probs"].values())
     assert total == pytest.approx(1.0, abs=1e-9)
-    assert 0.0 <= res.fidelity <= 1.0
-    assert res.purified_distance <= res.transcript.details["claim_bound"] + 1e-9
+    assert 0.0 <= t.achieved_fidelity <= 1.0
+    assert t.details["purified_distance"] <= t.details["claim_bound"] + 1e-9
 
 
 def test_decoder_matches_qsr_full_outcomes():
@@ -962,12 +981,12 @@ def test_decoder_matches_qsr_full_outcomes():
     for inst in [*instances.values(), replace(instances["classical-side-info"], b_override=2)]:
         params = qsr_parameters(inst)
         full = qsr_full(inst)
-        res = qsr_decoder_p1(inst, params.b, params)
+        probs = qsr_decoder_p1(inst, params.b, params).steps[-1]["data"]["outcome_probs"]
         slack = math.sqrt(max(0.0, 1.0 - full.details["overlap"] ** 2)) + 1e-9
-        full_probs = full.steps[-1].data["outcome_probs"]
-        assert sorted(full_probs) == sorted(str(k) for k in res.outcome_probs)
-        for k, p in res.outcome_probs.items():
-            assert full_probs[str(k)] == pytest.approx(p, abs=slack)
+        full_probs = full.steps[-1]["data"]["outcome_probs"]
+        assert list(full_probs) == list(probs)
+        for k, p in probs.items():
+            assert full_probs[k] == pytest.approx(p, abs=slack)
 
 
 def test_decoder_budget_guard():

@@ -172,6 +172,13 @@ def test_partial_trace_ghz_frozen():
     assert partial_trace(rho, ["C", "R"]).system.labels == ("R", "C")
 
 
+def test_partial_trace_refuses_a_repeated_label():
+    # a register kept twice is refused by name, as vector_marginal refuses it
+    for marginal, state in ((partial_trace, ghz().to_density()), (vector_marginal, ghz())):
+        with pytest.raises(RegisterError, match=r"\['R', 'R'\]"):
+            marginal(state, ["R", "R"])
+
+
 def test_partial_trace_against_einsum_oracle():
     rng = np.random.default_rng(11)
     sys_ = qmat.system(("A", 2), ("B", 3), ("C", 2))
